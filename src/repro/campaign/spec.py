@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-import sys
+import tomllib
 from dataclasses import dataclass, field, replace
 from typing import Any
 
@@ -135,6 +135,10 @@ class Campaign:
             isinstance(s, int) and not isinstance(s, bool) for s in self.seeds
         ):
             raise CampaignError("campaign.seeds must be a non-empty int list")
+        if not isinstance(self.quick, bool):
+            raise CampaignError(
+                f"campaign.quick must be true or false, not {self.quick!r}"
+            )
         for key in self.windows:
             if key not in WINDOW_FIELDS:
                 raise CampaignError(
@@ -338,130 +342,14 @@ def _campaign_from_data(data: Any) -> Campaign:
         preset=head.get("preset", "tiny"),
         engine=head.get("engine", "cycle"),
         seeds=tuple(seeds),
-        quick=bool(head.get("quick", False)),
+        quick=head.get("quick", False),
         axes=dict(axes),
         windows=dict(windows),
     )
 
 
 def _parse_toml(text: str) -> dict[str, Any]:
-    """Parse campaign TOML — stdlib :mod:`tomllib` on Python >= 3.11,
-    the bundled subset parser (:func:`parse_toml_subset`) on 3.10."""
-    if sys.version_info >= (3, 11):
-        import tomllib
-
-        try:
-            return tomllib.loads(text)
-        except tomllib.TOMLDecodeError as exc:
-            raise CampaignError(f"invalid campaign TOML: {exc}") from exc
-    # Python 3.10: no stdlib tomllib and no new deps allowed
-    return parse_toml_subset(text)
-
-
-def parse_toml_subset(text: str) -> dict[str, Any]:
-    """A minimal TOML-subset reader for campaign files on Python 3.10.
-
-    Supports exactly what the campaign schema needs — ``[section]``
-    headers one level deep, ``key = value`` with string / int / float /
-    bool scalars, single-line arrays of scalars, and ``#`` comments —
-    and rejects everything else loudly.  Campaign files written for this
-    subset parse identically under stdlib ``tomllib`` (a test asserts
-    so for every committed campaign file).
-    """
-    root: dict[str, Any] = {}
-    table = root
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = _strip_toml_comment(raw).strip()
-        if not line:
-            continue
-        if line.startswith("["):
-            if not line.endswith("]"):
-                raise CampaignError(f"line {lineno}: malformed table header")
-            name = line[1:-1].strip()
-            if not name or "." in name or "[" in name:
-                raise CampaignError(
-                    f"line {lineno}: only single-level [section] headers "
-                    "are supported"
-                )
-            if name in root:
-                raise CampaignError(f"line {lineno}: duplicate table {name!r}")
-            table = root.setdefault(name, {})
-            continue
-        if "=" not in line:
-            raise CampaignError(f"line {lineno}: expected key = value")
-        key, _, value = line.partition("=")
-        key = key.strip().strip('"')
-        if not key:
-            raise CampaignError(f"line {lineno}: empty key")
-        if key in table:
-            raise CampaignError(f"line {lineno}: duplicate key {key!r}")
-        table[key] = _parse_toml_value(value.strip(), lineno)
-    return root
-
-
-def _strip_toml_comment(line: str) -> str:
-    """Drop a trailing ``#`` comment (respecting double-quoted strings)."""
-    out = []
-    in_string = False
-    for ch in line:
-        if ch == '"':
-            in_string = not in_string
-        elif ch == "#" and not in_string:
-            break
-        out.append(ch)
-    return "".join(out)
-
-
-def _parse_toml_value(token: str, lineno: int) -> Any:
-    if not token:
-        raise CampaignError(f"line {lineno}: missing value")
-    if token.startswith("[") and token.endswith("]"):
-        inner = token[1:-1].strip()
-        if not inner:
-            return []
-        return [
-            _parse_toml_value(part.strip(), lineno)
-            for part in _split_toml_array(inner, lineno)
-        ]
-    if token.startswith('"') and token.endswith('"') and len(token) >= 2:
-        return token[1:-1]
-    if token == "true":
-        return True
-    if token == "false":
-        return False
     try:
-        return int(token)
-    except ValueError:
-        pass
-    try:
-        return float(token)
-    except ValueError:
-        raise CampaignError(
-            f"line {lineno}: unsupported value {token!r} (the 3.10 subset "
-            "parser reads strings, ints, floats, bools, and flat arrays)"
-        ) from None
-
-
-def _split_toml_array(inner: str, lineno: int) -> list[str]:
-    parts: list[str] = []
-    depth = 0
-    in_string = False
-    current = []
-    for ch in inner:
-        if ch == '"':
-            in_string = not in_string
-        if not in_string:
-            if ch == "[":
-                depth += 1
-            elif ch == "]":
-                depth -= 1
-            elif ch == "," and depth == 0:
-                parts.append("".join(current))
-                current = []
-                continue
-        current.append(ch)
-    if in_string or depth:
-        raise CampaignError(f"line {lineno}: unterminated array or string")
-    if "".join(current).strip():
-        parts.append("".join(current))
-    return parts
+        return tomllib.loads(text)
+    except tomllib.TOMLDecodeError as exc:
+        raise CampaignError(f"invalid campaign TOML: {exc}") from exc

@@ -29,7 +29,7 @@ SIM008    missing docstrings on the public API (module docstring,
 SIM009    direct write to another component's wake-relevant state
           (``_queue``, ``pending``, ``sources``, ...) through a
           function parameter; route it through a method of the owner
-          that pairs the wake (see ``repro.devtools.wakecheck``)
+          that pairs the wake (see ``docs/WAKE_CONTRACT.md``)
 SIM010    ``next_active_cycle`` implementations that draw from an RNG
           or mutate state; the wake probe must be pure so the event
           kernel (and ``verify_wake``) may call it at any time
@@ -141,7 +141,7 @@ RULES: tuple[RuleInfo, ...] = (
         "foreign-wake-state-write",
         "writing another component's wake-relevant state through a "
         "parameter bypasses the owner's wake pairing; call a method of "
-        "the owner instead (wakecheck verifies the pairing itself)",
+        "the owner instead (docs/WAKE_CONTRACT.md)",
     ),
     RuleInfo(
         "SIM010",
@@ -170,8 +170,6 @@ RNG_HOME_STEMS = frozenset({"rng"})
 WALL_CLOCK_WHITELIST: dict[str, frozenset[str]] = {
     "runner": frozenset({"perf_counter"}),
     "parallel": frozenset({"perf_counter"}),
-    # the perf-trajectory benchmark exists to measure wall-clock
-    "bench_trajectory": frozenset({"perf_counter"}),
     # engine cross-validation reports the cycle-vs-flow speedup
     "crosscheck": frozenset({"perf_counter"}),
 }
@@ -187,10 +185,9 @@ _DATETIME_ATTRS = frozenset({"now", "utcnow", "today"})
 #: random-module attributes that are *not* global-RNG draws
 _RANDOM_SAFE_ATTRS = frozenset({"Random", "SystemRandom"})
 
-#: wake-relevant attribute names SIM009 protects from foreign writes.
-#: Kept in sync with the registry wakecheck infers (see
-#: docs/WAKE_CONTRACT.md) — these are the names whose mutation changes
-#: a component's ``next_active_cycle`` answer.
+#: wake-relevant attribute names SIM009 protects from foreign writes:
+#: the names whose mutation changes a component's ``next_active_cycle``
+#: answer (docs/WAKE_CONTRACT.md).
 _WAKE_STATE_ATTRS = frozenset(
     {"_queue", "pending", "sources", "replay", "retrieval_queue",
      "_paced_retransmits", "credits", "_blocked"}

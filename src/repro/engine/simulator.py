@@ -127,8 +127,8 @@ class Simulator:
 
         ``cycle`` must not be earlier than the current cycle: a stale
         wake means the caller discovered work the target should already
-        have processed — a wake-contract violation (wakecheck WAKE002),
-        not something to silently clamp.
+        have processed — a wake-contract violation
+        (docs/WAKE_CONTRACT.md), not something to silently clamp.
         """
         if cycle < self.cycle:
             raise ValueError(
@@ -174,24 +174,18 @@ class Simulator:
             self._run_polling(end, None)
 
     def run_until(
-        self,
-        predicate: Callable[[], bool],
-        max_cycles: int,
-        check_period: int = 64,
+        self, predicate: Callable[[], bool], max_cycles: int
     ) -> bool:
         """Run until ``predicate()`` holds or ``max_cycles`` elapse.
 
         The predicate is evaluated before running and then after every
         *executed* cycle, so the loop stops at the first cycle boundary
-        where it holds — it no longer overshoots by up to a check
-        period.  ``check_period`` is retained for API compatibility and
-        ignored.  Under the event kernel, cycles skipped as globally
-        idle are not re-checked: component state cannot change across a
-        skip, so a state-based predicate (the only kind used here) holds
-        at the first executed cycle if it holds at all.  Returns True if
-        the predicate held.
+        where it holds.  Under the event kernel, cycles skipped as
+        globally idle are not re-checked: component state cannot change
+        across a skip, so a state-based predicate (the only kind used
+        here) holds at the first executed cycle if it holds at all.
+        Returns True if the predicate held.
         """
-        del check_period  # exact stop: checked after every executed cycle
         if predicate():
             return True
         deadline = self.cycle + max_cycles
@@ -314,7 +308,5 @@ class Simulator:
                     f"next_active_cycle({cycle}) now reports {fresh}; "
                     f"pending state: {_pending_state(component)}. "
                     "A mutation of its wake-relevant state was not paired "
-                    "with Simulator.wake — run "
-                    "`python -m repro.devtools.wakecheck src/` "
-                    "(docs/WAKE_CONTRACT.md)."
+                    "with Simulator.wake (docs/WAKE_CONTRACT.md)."
                 )

@@ -14,13 +14,11 @@ choice as an even fluid split.
 from __future__ import annotations
 
 from repro.engine.config import NetworkConfig
-from repro.engine.parallel import RunSpec
 from repro.experiments.common import (
     SweepEntry,
     collect_by_variant,
     preset_by_name,
     run_sweep,
-    sweep_specs,
 )
 from repro.scenario import (
     FatTreeTopologySpec,
@@ -31,7 +29,6 @@ from repro.scenario import (
 __all__ = [
     "campaign_entries",
     "fattree_entries",
-    "fattree_specs",
     "format_fattree",
     "run_fattree_reliability",
 ]
@@ -78,17 +75,6 @@ def campaign_entries(base: NetworkConfig, axes: dict) -> list[SweepEntry]:
         loads=tuple(float(x) for x in axes.get("loads", (0.3, 0.7))),
         variants=tuple(axes.get("variants", tuple(VARIANTS))),
     )
-
-
-def fattree_specs(
-    base: NetworkConfig,
-    loads: tuple[float, ...] = (0.3, 0.7),
-    variants: tuple[str, ...] = tuple(VARIANTS),
-    seed: int = 1,
-    engine: str = "cycle",
-) -> list[RunSpec]:
-    """One executor spec per (variant, load) sweep point."""
-    return sweep_specs(fattree_entries(base, loads, variants), seed, engine)
 
 
 def run_fattree_reliability(

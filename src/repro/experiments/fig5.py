@@ -17,14 +17,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.engine.config import NetworkConfig
-from repro.engine.parallel import RunSpec
 from repro.experiments.common import (
     RELIABILITY_VARIANTS,
     SweepEntry,
     collect_by_variant,
     preset_by_name,
     run_sweep,
-    sweep_specs,
 )
 from repro.scenario import UniformTraffic, reliability_scenario
 
@@ -32,7 +30,6 @@ __all__ = [
     "Fig5Point",
     "campaign_entries",
     "fig5_entries",
-    "fig5_specs",
     "format_fig5",
     "run_fig5",
 ]
@@ -89,20 +86,6 @@ def campaign_entries(base: NetworkConfig, axes: dict) -> list[SweepEntry]:
         loads=tuple(float(x) for x in axes.get("loads", DEFAULT_LOADS)),
         variants=tuple(axes.get("variants", tuple(RELIABILITY_VARIANTS))),
         msg_flits=axes.get("msg_flits"),
-    )
-
-
-def fig5_specs(
-    base: NetworkConfig,
-    loads: tuple[float, ...] = DEFAULT_LOADS,
-    variants: tuple[str, ...] = tuple(RELIABILITY_VARIANTS),
-    msg_flits: int | None = None,
-    seed: int = 1,
-    engine: str = "cycle",
-) -> list[RunSpec]:
-    """One executor spec per (variant, load) sweep point."""
-    return sweep_specs(
-        fig5_entries(base, loads, variants, msg_flits), seed, engine
     )
 
 

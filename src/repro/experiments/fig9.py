@@ -19,20 +19,17 @@ closed-loop fluid sources and reports trend-level tails only
 from __future__ import annotations
 
 from repro.engine.config import NetworkConfig
-from repro.engine.parallel import RunSpec
 from repro.experiments.common import (
     CONGESTION_VARIANTS,
     SweepEntry,
     preset_by_name,
     run_sweep,
-    sweep_specs,
 )
 from repro.scenario import UniformAggressorTraffic, congestion_scenario
 
 __all__ = [
     "campaign_entries",
     "fig9_entries",
-    "fig9_specs",
     "format_fig9",
     "run_fig9",
 ]
@@ -89,20 +86,6 @@ def campaign_entries(base: NetworkConfig, axes: dict) -> list[SweepEntry]:
         ),
         variants=tuple(axes.get("variants", tuple(CONGESTION_VARIANTS))),
         victim_rate=float(axes.get("victim_rate", 0.4)),
-    )
-
-
-def fig9_specs(
-    base: NetworkConfig,
-    bursts_pkts: tuple[int, ...] = DEFAULT_BURSTS_PKTS,
-    variants: tuple[str, ...] = tuple(CONGESTION_VARIANTS),
-    victim_rate: float = 0.4,
-    seed: int = 1,
-    engine: str = "cycle",
-) -> list[RunSpec]:
-    """One executor spec per (variant, burst size) sweep point."""
-    return sweep_specs(
-        fig9_entries(base, bursts_pkts, variants, victim_rate), seed, engine
     )
 
 

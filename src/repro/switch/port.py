@@ -223,7 +223,8 @@ class InputPort:
             mask &= mask - 1
             stream = streams[vc]
             if stream is not None:
-                # inline _plan_credits_ok for the continuing stream
+                # flit-granular flow control: a continuing stream's flit
+                # needs a free slot in each row buffer its plan writes
                 kind, col, stash_col, _job = stream
                 if kind == _NORMAL:
                     ok = row_credits[col][vc] >= 1
@@ -272,22 +273,6 @@ class InputPort:
             self._advance_retrieval(cycle)
         else:
             self._advance_vc(winner, plans[winner], cycle)
-
-    def _plan_credits_ok(
-        self, vc: int, plan: tuple[int, int, int, StashJob | None]
-    ) -> bool:
-        """Flit-granular flow control: every flit (head or body) needs a
-        free slot in each row buffer the plan writes this cycle."""
-        kind, col, stash_col, _job = plan
-        S_VC = self.sw.S_VC
-        if kind == _NORMAL:
-            return self.row_credits[col][vc] >= 1
-        if kind == _DUP:
-            return (
-                self.row_credits[col][vc] >= 1
-                and self.row_credits[stash_col][S_VC] >= 1
-            )
-        return self.row_credits[stash_col][S_VC] >= 1  # _DIVERT
 
     def _plan_head(
         self, vc: int, flit: Flit, congested: bool
@@ -393,7 +378,7 @@ class InputPort:
         space._total -= 1
         pkt = flit.pkt
         credit_out = self.credit_out
-        if credit_out is not None:  # inline _return_credit
+        if credit_out is not None:  # the freed slot's credit goes upstream
             credit_out.send((vc, 1), cycle)
         self.flits_sent += 1
 
@@ -447,10 +432,6 @@ class InputPort:
             sw.inflight += 1  # the duplicate is a second buffered instance
         else:  # _DIVERT
             row_tiles[stash_col].receive(self.slot, sw.S_VC, flit, job)
-
-    def _return_credit(self, vc: int, cycle: int) -> None:
-        if self.credit_out is not None:
-            self.credit_out.send_credit(vc, 1, cycle)
 
     # ------------------------------------------------------------------
     # retrieval (R VC) from this port's stash partition
@@ -641,20 +622,6 @@ class OutputPort:
         self._egress_blocked = False
 
     # ------------------------------------------------------------------
-
-    def receive_column(
-        self, row: int, vc: int, flit: Flit, job: StashJob | None
-    ) -> None:
-        """Latch a flit off this port's column channel from tile ``row``."""
-        self.col_buffers[row][vc].append(flit)
-        self.col_occ[row] |= 1 << vc
-        self._mux_blocked = False
-        if vc == self.sw.S_VC:
-            assert job is not None
-            self.col_jobs[row].append(job)
-            self.col_flits_s += 1
-        else:
-            self.col_flits += 1
 
     def apply_credits(self, cycle: int) -> None:
         """Drain the credit channel into the downstream mirror (and the

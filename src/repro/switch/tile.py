@@ -172,8 +172,7 @@ class Tile:
                 self.blocked = True
             return
         # winners advance: pop the row buffer, manage the stream locks,
-        # and latch directly into the output port's column buffer (the
-        # former _advance/receive_column pair, inlined for the hot loop)
+        # and latch directly into the output port's column buffer
         out_ports = sw.out_ports
         in_ports = sw.in_ports
         jobs = self.jobs

@@ -400,17 +400,6 @@ class TiledSwitch:
 
     # -- introspection ------------------------------------------------------
 
-    def total_buffered_flits(self) -> int:
-        """Flits buffered anywhere in the switch (inputs, tiles, outputs)."""
-        total = 0
-        for ip in self._active_in:
-            total += ip.damq.total_flits
-        for op in self._active_out:
-            total += op.occupancy()
-        for tile in self._flat_tiles:
-            total += tile.occupancy()
-        return total
-
     @property
     def quiescent(self) -> bool:
         """True when nothing is buffered, arriving, or pending here."""

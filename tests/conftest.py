@@ -4,6 +4,10 @@
 short links and small buffers — single-digit milliseconds per thousand
 cycles.  ``single_switch_net`` wires N endpoints to one switch, the
 fastest way to exercise the full datapath.
+
+Every ``Simulator`` a test builds in this process runs with the wake
+oracle on (``verify_wake=True``, docs/WAKE_CONTRACT.md), so any test
+that drives a simulation also checks the wake contract along the way.
 """
 
 from __future__ import annotations
@@ -19,8 +23,25 @@ from repro.engine.config import (
     StashParams,
     SwitchParams,
 )
+from repro.engine.simulator import Simulator
 from repro.network import Network
 from repro.topology.single_switch import SingleSwitchTopology
+
+
+@pytest.fixture(autouse=True)
+def _wake_oracle_on(request, monkeypatch):
+    """Force ``verify_wake=True`` on every Simulator the test builds;
+    ``@pytest.mark.shadow_off`` opts out (for the one test that compares
+    a run with the oracle off against the same run with it on)."""
+    if request.node.get_closest_marker("shadow_off") is not None:
+        return
+    init = Simulator.__init__
+
+    def init_verified(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        self.verify_wake = True
+
+    monkeypatch.setattr(Simulator, "__init__", init_verified)
 
 
 def micro_config(**overrides) -> NetworkConfig:

@@ -76,8 +76,8 @@ def test_engines_consume_identical_spec_hashes(rows):
 
 def test_flow_engine_is_faster(rows):
     # micro presets are tiny, so demand only a loose floor here; the
-    # >=50x fig5-scale claim is measured by BENCH_9.json and the CI
-    # crosscheck job on the tiny preset
+    # fig5-scale speedup is measured by the benchmark (bench/README.md)
+    # and the CI crosscheck job on the tiny preset
     for row in rows:
         assert row.flow_seconds < row.cycle_seconds
 

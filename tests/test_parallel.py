@@ -21,7 +21,8 @@ from repro.engine.parallel import (
     run_specs,
 )
 from repro.engine.rng import DeterministicRng
-from repro.experiments.fig5 import fig5_specs, format_fig5, run_fig5
+from repro.experiments.common import sweep_specs
+from repro.experiments.fig5 import fig5_entries, format_fig5, run_fig5
 from repro.switch.damq import VcSpaceAccounting
 from tests.conftest import micro_config
 
@@ -197,8 +198,13 @@ def test_fig5_jobs_invariant():
 def test_fig5_spec_seeds_ignore_sweep_shape():
     """A point's seed depends on its label, not its position in the sweep."""
     base = _tiny_base()
-    wide = {s.key: s.seed for s in fig5_specs(base, loads=(0.2, 0.5, 0.8))}
-    narrow = {s.key: s.seed for s in fig5_specs(base, loads=(0.5,))}
+    wide = {
+        s.key: s.seed
+        for s in sweep_specs(fig5_entries(base, loads=(0.2, 0.5, 0.8)))
+    }
+    narrow = {
+        s.key: s.seed for s in sweep_specs(fig5_entries(base, loads=(0.5,)))
+    }
     assert narrow[("baseline", 0.5)] == wide[("baseline", 0.5)]
 
 

@@ -83,22 +83,20 @@ def test_run_until_condition_met_midway():
     sim = Simulator()
     r = Recorder()
     sim.add(r)
-    ok = sim.run_until(lambda: len(r.cycles) >= 10, max_cycles=1000, check_period=4)
+    ok = sim.run_until(lambda: len(r.cycles) >= 10, max_cycles=1000)
     assert ok
-    assert sim.cycle <= 16  # checked every 4 cycles
+    assert sim.cycle == 10
 
 
 @pytest.mark.parametrize("kernel", ["polling", "event"])
 def test_run_until_stops_exactly_at_first_true_cycle(kernel):
-    # regression: the predicate used to be checked only every
-    # check_period cycles, overshooting the stop point by up to a full
-    # period (wasted cycles and late phase transitions)
+    # regression: the predicate used to be checked only every 64
+    # cycles, overshooting the stop point by up to a full period
+    # (wasted cycles and late phase transitions)
     sim = Simulator(kernel=kernel)
     r = Recorder()
     sim.add(r)
-    ok = sim.run_until(
-        lambda: len(r.cycles) >= 10, max_cycles=1000, check_period=64
-    )
+    ok = sim.run_until(lambda: len(r.cycles) >= 10, max_cycles=1000)
     assert ok
     assert sim.cycle == 10
     assert r.cycles == list(range(10))

@@ -6,7 +6,9 @@ The fuzz tests reuse the seed derivation of
 randomized (variant, load, seed) points that prove byte-identity must
 also pass the shadow check clean — and the shadow check itself must not
 perturb results.  The mutation test drops one component's wakes on
-purpose and asserts the shadow mode names the sleeping component.
+purpose and asserts the shadow mode names the sleeping component;
+``tests/test_wake_mutants.py`` does the same for every wake call site
+in ``src/repro``, one at a time.
 """
 
 from __future__ import annotations
@@ -84,6 +86,25 @@ def _samples(variant: str, rate: float, seed: int, verify: bool):
     return net.sim.cycle, list(net.latency._samples)
 
 
+def test_tier1_simulators_run_under_the_oracle(micro_net):
+    """tests/conftest.py turns the shadow check on for every Simulator
+    a tier-1 test builds, whatever the caller or the config asked for."""
+    assert Simulator().verify_wake is True
+    assert Simulator(verify_wake=False).verify_wake is True
+    assert micro_net.config.sim.verify_wake is False
+    assert micro_net.sim.verify_wake is True
+
+
+def test_add_source_wakes_a_sleeping_endpoint(micro_net):
+    """With no source attached every endpoint sleeps forever; traffic
+    added mid-run must wake them, or nothing is ever generated."""
+    micro_net.sim.run(500)
+    micro_net.add_uniform_traffic(0.1)
+    micro_net.sim.run(2000)
+    assert sum(ep.flits_generated for ep in micro_net.endpoints) > 0
+
+
+@pytest.mark.shadow_off
 @pytest.mark.parametrize("trial", range(4))
 def test_fuzz_verify_wake_clean_and_invisible(trial):
     """Shadow mode neither raises nor changes a single sample on the
