@@ -70,9 +70,12 @@ __all__ = [
 ]
 
 #: version of the persisted result payload (part of every cache key);
-#: bump when :class:`repro.engine.base.EngineResult` changes shape so
-#: stale stores read as misses instead of mis-parsing
-RESULT_SCHEMA_VERSION = 1
+#: bump when :class:`repro.engine.base.EngineResult` changes shape, or
+#: when an engine's numbers for a fixed spec change, so stale stores
+#: read as misses instead of mis-parsing or being served as current.
+#: v2: the flow engine's water-filling runs to completion (stash-bound
+#: points moved; docs/FASTPATH.md)
+RESULT_SCHEMA_VERSION = 2
 
 #: sweep family -> experiment module exposing ``campaign_entries``
 SWEEPS: dict[str, str] = {

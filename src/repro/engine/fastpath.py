@@ -10,8 +10,10 @@ solves for the steady state directly:
   links (injection, ejection, local, global).  Routes are minimal; the
   fat-tree splits flows evenly across spines (fluid ECMP).
 * **Max-min fair sharing** — progressive filling: all unfrozen flows
-  grow at the same rate until a link saturates or a flow reaches its
-  demand, the allocation a fair per-flit arbiter converges to.
+  share one water level, which rises until a link saturates or a flow
+  reaches its demand, the allocation a fair per-flit arbiter converges
+  to.  Run to completion: every flow ends at its demand or on a full
+  link.
 * **ACK background traffic** — the cycle engine acknowledges every
   delivered data packet with a priority single-flit ACK on the reverse
   path, so each link's data capacity is derated by the ACK load it
@@ -34,10 +36,12 @@ solves for the steady state directly:
   exceeds the congestion threshold and additive recovery otherwise.
   The reported numbers average the post-convergence tail of the steps.
 
-Everything is closed-form floating point over sorted containers: no
-RNG, no dict-order dependence — results are a pure function of the
-:class:`~repro.scenario.spec.ScenarioSpec`, hence byte-identical for
-any ``--jobs`` value.
+The flow table is a set of numpy arrays built once per run (flows in
+source-switch, destination, route order); every reduction over it is a
+sequential ``bincount``/``cumsum`` or a stable sort, and nothing calls
+into BLAS.  No RNG, no dict-order or thread-count dependence — results
+are a pure function of the :class:`~repro.scenario.spec.ScenarioSpec`,
+hence byte-identical for any ``--jobs`` value.
 
 Accuracy envelope (measured by :mod:`repro.analysis.crosscheck`; see
 docs/FASTPATH.md): mean throughput within 10 % of the cycle engine on
@@ -51,9 +55,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any, Sequence
+
+import numpy as np
+from numpy.typing import NDArray
 
 from repro.engine.base import EngineResult, EngineUnsupported, GroupStats
+from repro.topology.dragonfly import DragonflyTopology
+from repro.topology.fattree import FatTreeTopology
+from repro.topology.single_switch import SingleSwitchTopology
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.engine.config import NetworkConfig
@@ -61,6 +71,11 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.topology.topology import Topology
 
 __all__ = ["FlowEngine"]
+
+Floats = NDArray[np.float64]
+Ints = NDArray[np.intp]
+#: one switch-to-switch route: (hop link ids, summed hop latency, #switches)
+_Route = tuple[tuple[int, ...], float, float]
 
 #: per-switch-traversal pipeline cost (route + arbitration + crossbar),
 #: calibrated against the cycle engine's zero-load latency
@@ -76,33 +91,6 @@ _ECN_STEPS = 48
 _FP_STEPS = 12
 
 _EPS = 1e-12
-
-
-@dataclass
-class _Flow:
-    """One aggregated fluid flow: ``weight`` unit sources on the same
-    switch sharing a route, each offering ``demand`` flits/cycle."""
-
-    links: tuple[int, ...]
-    weight: float
-    demand: float
-    base_latency: float
-    group: str
-    klass: int  # ECN window class index
-    msg_flits: int
-    src_switch: int
-    #: links the flow's ACKs consume, with the ACK-rate share per link
-    ack_links: tuple[tuple[int, float], ...]
-    #: virtual stash-pool link (consumed at coefficient rtt), or -1
-    stash_link: int = -1
-    #: congestion-aware round-trip estimate, updated by the solver
-    rtt: float = 0.0
-    #: queueing delay under the final allocation, set by the solver
-    qdelay: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.rtt == 0.0:
-            self.rtt = 2.0 * self.base_latency
 
 
 class _LinkTable:
@@ -128,85 +116,414 @@ class _LinkTable:
         return self._ids[key]
 
 
+def _ragged(ptr: Ints, rows: Ints) -> Ints:
+    """The index ranges ``ptr[r]:ptr[r + 1]`` of each row, concatenated."""
+    starts = ptr[rows]
+    lens = ptr[rows + 1] - starts
+    ends = np.cumsum(lens)
+    out = np.repeat(starts - (ends - lens), lens)
+    out += np.arange(len(out))
+    return out
+
+
+def _padded(rows: Sequence[Sequence[int]]) -> Ints:
+    """Ragged rows as one 2-D array, short rows filled with -1."""
+    width = max(map(len, rows), default=0)
+    return np.array(
+        [[*row, *(-1,) * (width - len(row))] for row in rows], dtype=np.intp
+    ).reshape(len(rows), width)
+
+
+@dataclass(frozen=True)
+class _Incidence:
+    """Which links each flow crosses, in CSR form both ways round."""
+
+    #: flow ``f`` owns entries ``flow_ptr[f]:flow_ptr[f + 1]``
+    flow_ptr: Ints
+    entry_flow: Ints
+    entry_link: Ints
+    #: link ``l`` owns ``link_order[link_ptr[l]:link_ptr[l + 1]]``
+    link_ptr: Ints
+    link_order: Ints
+
+    @classmethod
+    def build(
+        cls, entries_per_flow: Ints, entry_link: Ints, n_links: int
+    ) -> "_Incidence":
+        zero = np.zeros(1, dtype=np.intp)
+        per_link = np.bincount(entry_link, minlength=n_links)
+        return cls(
+            flow_ptr=np.concatenate((zero, np.cumsum(entries_per_flow))),
+            entry_flow=np.repeat(
+                np.arange(len(entries_per_flow)), entries_per_flow
+            ),
+            entry_link=entry_link,
+            link_ptr=np.concatenate((zero, np.cumsum(per_link))),
+            link_order=np.argsort(entry_link, kind="stable"),
+        )
+
+
 def _maxmin(
-    entries: list[tuple[tuple[int, ...], tuple[float, ...]]],
-    weights: list[float],
-    caps: list[float],
-    demand_caps: list[float],
-) -> list[float]:
-    """Progressive-filling max-min fair allocation.
+    inc: _Incidence, entry_weight: Floats, caps: Floats, demand_caps: Floats
+) -> Floats:
+    """Progressive-filling max-min fair allocation, run to completion.
 
     Returns the per-unit rate of each flow.  ``demand_caps`` bounds each
-    flow's per-unit rate; link ``l`` constrains
-    ``sum(weight * coeff * rate) <= caps[l]``.
+    flow's per-unit rate; link ``l`` constrains the sum over its entries
+    of ``entry_weight * rate`` to ``caps[l]``.
+
+    All unfrozen flows sit at one water level, so link ``l`` fills at
+    level ``(caps[l] - frozen load) / (unfrozen entry weight)``.  Each
+    round either freezes, at their demands, the flows whose demand comes
+    before the first such level, or freezes the flows of the link(s) at
+    that level.  A link stops constraining when its *integer* count of
+    unfrozen entries reaches zero, so the float residue its weight sum
+    keeps after subtraction is never compared against anything.
     """
-    n = len(entries)
-    alloc = [0.0] * n
-    residual = list(caps)
-    active = [demand_caps[i] > _EPS for i in range(n)]
-    link_weight = [0.0] * len(caps)
-    link_flows: list[list[int]] = [[] for _ in caps]
-    for i, (links, coeffs) in enumerate(entries):
-        if not active[i]:
-            continue
-        for l, c in zip(links, coeffs):
-            link_weight[l] += weights[i] * c
-            link_flows[l].append(i)
-
-    def freeze(i: int) -> None:
-        active[i] = False
-        links, coeffs = entries[i]
-        for l, c in zip(links, coeffs):
-            link_weight[l] -= weights[i] * c
-
-    remaining = sum(active)
+    n_links = len(caps)
+    alloc = np.zeros(len(demand_caps))
+    order = np.argsort(demand_caps, kind="stable")
+    sorted_caps = demand_caps[order]
+    # flows with no demand stay at zero: they sort first
+    done = int(np.searchsorted(sorted_caps, _EPS, side="right"))
+    active = demand_caps > _EPS
+    remaining = len(order) - done
+    live_links, live_weight = inc.entry_link, entry_weight
+    if done:
+        live = active[inc.entry_flow]
+        live_links, live_weight = live_links[live], live_weight[live]
+    link_weight = np.bincount(live_links, live_weight, minlength=n_links)
+    link_count = np.bincount(live_links, minlength=n_links)
+    frozen_load = np.zeros(n_links)
     while remaining:
-        inc = math.inf
-        for l, w in enumerate(link_weight):
-            if w > _EPS:
-                inc = min(inc, residual[l] / w)
-        for i in range(n):
-            if active[i]:
-                inc = min(inc, demand_caps[i] - alloc[i])
-        if inc is math.inf:
-            break
-        inc = max(inc, 0.0)
-        for i in range(n):
-            if active[i]:
-                alloc[i] += inc
-        for l, w in enumerate(link_weight):
-            if w > _EPS:
-                residual[l] -= inc * w
-        for i in range(n):
-            if active[i] and alloc[i] >= demand_caps[i] - _EPS:
-                freeze(i)
-        for l in range(len(caps)):
-            if residual[l] <= _EPS and link_weight[l] > _EPS:
-                for i in link_flows[l]:
-                    if active[i]:
-                        freeze(i)
-        new_remaining = sum(active)
-        if new_remaining == remaining:
-            break  # numerical stall; allocation is already feasible
-        remaining = new_remaining
+        fill = np.full(n_links, math.inf)
+        np.divide(
+            caps - frozen_load, link_weight, out=fill, where=link_count > 0
+        )
+        level = max(float(fill.min(initial=math.inf)), 0.0)
+        upto = int(np.searchsorted(sorted_caps, level + _EPS, side="right"))
+        if upto > done:
+            flows = order[done:upto]
+            flows = flows[active[flows]]
+            done = upto
+            alloc[flows] = demand_caps[flows]
+        else:
+            # saturated: fills at this round's level to _EPS in rate units
+            full = np.flatnonzero(fill <= level + _EPS)
+            flows = inc.entry_flow[inc.link_order[_ragged(inc.link_ptr, full)]]
+            flows = np.sort(flows[active[flows]])
+            # once each, though a flow may cross two links filling together
+            flows = flows[np.diff(flows, prepend=-1) > 0]
+            alloc[flows] = level
+        active[flows] = False
+        remaining -= len(flows)
+        gone = _ragged(inc.flow_ptr, flows)
+        links, weight = inc.entry_link[gone], entry_weight[gone]
+        link_weight -= np.bincount(links, weight, minlength=n_links)
+        link_count -= np.bincount(links, minlength=n_links)
+        frozen_load += np.bincount(
+            links, weight * alloc[inc.entry_flow[gone]], minlength=n_links
+        )
     return alloc
 
 
-def _weighted_percentile(
-    samples: list[tuple[float, float]], pct: float
-) -> float:
-    """Nearest-rank percentile of (value, weight) samples."""
-    total = sum(w for _v, w in samples)
-    if total <= 0.0:
-        return math.nan
-    ordered = sorted(samples)
-    target = pct / 100.0 * total
-    acc = 0.0
-    for value, weight in ordered:
-        acc += weight
-        if acc >= target - _EPS:
-            return value
-    return ordered[-1][0]
+def _weighted_percentiles(
+    values: Floats, weights: Floats, pcts: Sequence[float]
+) -> list[float]:
+    """Nearest-rank percentiles of weighted samples."""
+    if not len(values):
+        return [math.nan] * len(pcts)
+    order = np.argsort(values, kind="stable")
+    acc = np.cumsum(weights[order])
+    targets = np.array(pcts) / 100.0 * acc[-1] - _EPS
+    ranks = np.searchsorted(acc, targets, side="left")
+    return values[order[np.minimum(ranks, len(order) - 1)]].tolist()
+
+
+@dataclass(frozen=True)
+class _FlowTable:
+    """Every aggregated fluid flow of a run, one array element each: a
+    flow is ``weight`` unit sources on one switch sharing a route, each
+    offering ``demand`` flits/cycle."""
+
+    #: links crossed, the source switch's stash pool (if any) last
+    inc: _Incidence
+    weight: Floats
+    demand: Floats
+    base_latency: Floats
+    msg_flits: Floats
+    klass: Ints  # ECN window class index
+    group: Ints  # index into ``groups``
+    #: virtual stash-pool link (consumed at coefficient rtt), or -1
+    stash_link: Ints
+    #: the links each flow's ACKs consume, with the ACK-rate share ...
+    ack_flow: Ints
+    ack_link: Ints
+    ack_share: Floats
+    #: ... and, per injection link, the ejection channels that take a
+    #: share of the ACKs of every flow through it
+    member_inj: Ints
+    member_eject: Ints
+    member_share: Floats
+    caps: Floats
+    classes: tuple[str, ...]
+    groups: tuple[str, ...]
+
+
+class _FlowBuilder:
+    """Capacity graph and flow table for one run, emitted a traffic
+    class at a time."""
+
+    _COLUMNS = (
+        "entries_per_flow", "entry_link", "weight", "demand", "base_latency",
+        "msg_flits", "klass", "group", "stash_link", "ack_flow", "ack_link",
+        "ack_share", "member_inj", "member_eject", "member_share",
+    )
+
+    def __init__(self, topo: "Topology", cfg: "NetworkConfig") -> None:
+        self.topo = topo
+        self.links = links = _LinkTable()
+        # one directed unit-capacity link per wired switch port
+        for s in range(topo.num_switches):
+            for spec in topo.switch_ports(s):
+                if spec.link_class in ("local", "global"):
+                    links.add(f"l:{s}.{spec.port}", 1.0)
+        nodes = range(topo.num_nodes)
+        self.node_switch = np.array(
+            [topo.node_switch(u) for u in nodes], dtype=np.intp
+        )
+        self.node_latency = np.array([
+            float(topo.port_spec(topo.node_switch(u), topo.node_port(u)).latency)
+            for u in nodes
+        ])
+        self.eject = np.array(
+            [links.add(f"ej:{u}", 1.0) for u in nodes], dtype=np.intp
+        )
+        #: node -> its class injection link (for ACK contention), or -1
+        #: until a class sourcing from the node's switch has been emitted
+        self.node_inj = np.full(topo.num_nodes, -1, dtype=np.intp)
+        self.pool = np.full(topo.num_switches, -1, dtype=np.intp)
+        if cfg.reliability.enabled and cfg.stash.enabled:
+            self._add_stash_pools(cfg)
+        self._routes: dict[tuple[int, int], list[_Route]] = {}
+        self.classes: list[str] = []
+        self.groups: list[str] = []
+        self.n_flows = 0
+        self._chunks: dict[str, list[NDArray]] = {c: [] for c in self._COLUMNS}
+
+    def _add_stash_pools(self, cfg: "NetworkConfig") -> None:
+        """Bound each source switch's in-flight flits by its stash pool:
+        ``sum(rate * rtt) <= pool`` (Little's law), encoded as a virtual
+        link consumed at coefficient ``rtt`` per unit rate."""
+        st = cfg.stash
+        pooled = cfg.switch.input_buffer_flits + cfg.switch.output_buffer_flits
+        for s in range(self.topo.num_switches):
+            pool = 0.0
+            for pspec in self.topo.switch_ports(s):
+                if pspec.link_class in ("endpoint", "local", "global"):
+                    pool += st.fraction_for(pspec.link_class) * pooled
+            pool *= st.capacity_scale
+            if pool > 0.0:
+                self.pool[s] = self.links.add(f"stash:{s}", pool)
+
+    # ------------------------------------------------------------------
+    # routes
+    # ------------------------------------------------------------------
+
+    def routes(self, src_switch: int, dst_switch: int) -> list[_Route]:
+        """Minimal routes between two switches, computed once per pair;
+        fat-trees return one per spine (fluid ECMP splits)."""
+        key = (src_switch, dst_switch)
+        found = self._routes.get(key)
+        if found is None:
+            found = self._routes[key] = self._find_routes(*key)
+        return found
+
+    def _find_routes(self, src_switch: int, dst_switch: int) -> list[_Route]:
+        topo, links = self.topo, self.links
+        if isinstance(topo, SingleSwitchTopology) or src_switch == dst_switch:
+            return [((), 0.0, 1.0)]
+        if isinstance(topo, FatTreeTopology):
+            lat = float(topo.latency_up)
+            routes: list[_Route] = []
+            for spine in range(topo.num_spines):
+                spine_sw = topo.num_leaves + spine
+                up = topo.uplink_port(src_switch, spine)
+                down = topo.downlink_port(spine_sw, dst_switch)
+                routes.append((
+                    (links.id(f"l:{src_switch}.{up}"),
+                     links.id(f"l:{spine_sw}.{down}")),
+                    lat + lat, 3.0,
+                ))
+            return routes
+        if isinstance(topo, DragonflyTopology):
+            hops: list[int] = []
+            latency = 0.0
+            cur = src_switch
+            while cur != dst_switch:
+                if topo.group_of(cur) == topo.group_of(dst_switch):
+                    port = topo.local_port(cur, dst_switch)
+                else:
+                    port = topo.route_to_group(cur, topo.group_of(dst_switch))
+                spec = topo.port_spec(cur, port)
+                assert spec.peer is not None and spec.peer[0] == "switch"
+                hops.append(links.id(f"l:{cur}.{port}"))
+                latency += float(spec.latency)
+                cur = spec.peer[1]
+                if len(hops) > 8:  # minimal dragonfly paths are <= 3 hops
+                    raise EngineUnsupported(
+                        "flow routing failed to converge on this topology"
+                    )
+            return [(tuple(hops), latency, float(len(hops) + 1))]
+        raise EngineUnsupported(
+            f"flow engine has no routes for {type(topo).__name__}"
+        )
+
+    def _route_tables(
+        self, pairs: list[tuple[int, int]]
+    ) -> tuple[Ints, Ints, Floats, Floats, Ints, Floats]:
+        """The routes of each (source, destination) switch pair as
+        arrays: pair ``i`` owns rows ``ptr[i]:ptr[i + 1]`` of the
+        forward tables (hop links padded with -1, hop latency, switch
+        count) and row ``i`` of the reverse ones (the links of every
+        reverse route, and the share of the ACKs each route carries)."""
+        fwd = [self.routes(a, b) for a, b in pairs]
+        back = [self.routes(b, a) for a, b in pairs]
+        flat = [route for routes in fwd for route in routes]
+        return (
+            np.cumsum([0] + [len(routes) for routes in fwd]),
+            _padded([route[0] for route in flat]),
+            np.array([route[1] for route in flat]),
+            np.array([route[2] for route in flat]),
+            _padded([[l for route in routes for l in route[0]] for routes in back]),
+            np.array([1.0 / len(routes) for routes in back]),
+        )
+
+    # ------------------------------------------------------------------
+    # flow construction
+    # ------------------------------------------------------------------
+
+    def spread(
+        self, nodes: Sequence[int], dsts: Sequence[int], rate: float,
+        fanout: int, msg_flits: int, group: str, name: str,
+        outstanding_flits: int | None = None,
+    ) -> None:
+        """Traffic class ``name``: each of ``nodes`` sends ``rate``
+        spread evenly over ``fanout`` of the ``dsts`` (all of them but
+        itself).  Emits one flow per (source switch, destination node,
+        route), in that order; fat-trees get one per ECMP spine split.
+
+        ACKs for a flow ride the reverse path back to the source
+        members: the destination's injection channel (when it also
+        sources data, see below), the reverse switch hops, and the
+        members' ejection channels.
+        """
+        if rate <= 0.0 or not nodes or fanout < 1:
+            return
+        if name not in self.classes:
+            self.classes.append(name)
+        if group not in self.groups:
+            self.groups.append(group)
+        home, n_switches = self.node_switch, self.topo.num_switches
+        senders = np.asarray(nodes, dtype=np.intp)
+        targets = np.asarray(dsts, dtype=np.intp)
+        sends = np.zeros(len(home), dtype=bool)
+        sends[senders] = True
+        size = np.bincount(home[senders], minlength=n_switches)
+        sources = np.flatnonzero(size)
+        first_new = len(self.links.caps)
+        inj_of = np.full(n_switches, -1, dtype=np.intp)
+        for a in sources.tolist():
+            inj_of[a] = self.links.ensure(f"inj:{name}:{a}", float(size[a]))
+        sender_inj = inj_of[home[senders]]
+        fresh = sender_inj >= first_new  # not a class name seen before
+
+        # one row per (source switch, destination) with a sender to serve it
+        src = np.repeat(sources, len(targets))
+        dst = np.tile(targets, len(sources))
+        weight = (size[src] - (sends[dst] & (home[dst] == src))).astype(float)
+        served = weight > 0
+        src, dst, weight = src[served], dst[served], weight[served]
+        # a destination's injection link is charged for its ACKs only if
+        # its class was registered by the time the source switch is
+        # visited, and switches are visited in ascending order
+        dst_inj = np.where(
+            sends[dst] & (home[dst] <= src), inj_of[home[dst]],
+            self.node_inj[dst],
+        )
+        self.node_inj[senders] = sender_inj
+
+        # route tables over the switch pairs in use, indexed by ``via``
+        # (np.unique with return_inverse, minus its numpy.ma import)
+        pair = src * n_switches + home[dst]
+        used = np.zeros(n_switches * n_switches, dtype=bool)
+        used[pair] = True
+        via = (np.cumsum(used) - 1)[pair]
+        fwd_ptr, hops, path_latency, path_switches, back_hops, back_share = (
+            self._route_tables(
+                [divmod(p, n_switches) for p in np.flatnonzero(used).tolist()]
+            )
+        )
+
+        def latency(node: Ints, path: Ints) -> Floats:
+            return (
+                self.node_latency[node] * 2.0  # injection + ejection channels
+                + path_latency[path]
+                + path_switches[path] * _HOP_CYCLES
+                + float(msg_flits)
+            )
+
+        demand = np.full(len(dst), rate / fanout)
+        if outstanding_flits is not None:
+            # closed loop: at most outstanding_flits in flight per
+            # source, spread over its destinations; rtt of the first route
+            rtt = 2.0 * latency(dst, fwd_ptr[via])
+            demand = np.minimum(demand, outstanding_flits / rtt / fanout)
+        splits = fwd_ptr[via + 1] - fwd_ptr[via]
+        row = np.repeat(np.arange(len(dst)), splits)  # flow -> (src, dst) row
+        route = _ragged(fwd_ptr, via)
+        n = len(route)
+        pool = self.pool[src[row]]
+        crossed = np.column_stack(
+            (inj_of[src[row]], hops[route], self.eject[dst[row]], pool)
+        )
+        acked = np.column_stack((dst_inj[row], back_hops[via[row]]))
+        ack_share = np.column_stack((np.ones(n), np.broadcast_to(
+            back_share[via[row], None], (n, back_hops.shape[1])
+        )))
+        put = self._chunks
+        put["entries_per_flow"].append((crossed >= 0).sum(axis=1))
+        put["entry_link"].append(crossed[crossed >= 0])
+        put["weight"].append((weight * (1.0 / splits))[row])
+        put["demand"].append(demand[row])
+        put["base_latency"].append(latency(dst[row], route))
+        put["msg_flits"].append(np.full(n, float(msg_flits)))
+        put["klass"].append(np.full(n, self.classes.index(name), dtype=np.intp))
+        put["group"].append(np.full(n, self.groups.index(group), dtype=np.intp))
+        put["stash_link"].append(pool)
+        put["ack_flow"].append(self.n_flows + np.nonzero(acked >= 0)[0])
+        put["ack_link"].append(acked[acked >= 0])
+        put["ack_share"].append(ack_share[acked >= 0])
+        # every flow through an injection link also sends its ACKs, in
+        # equal shares, down the ejection channels of the link's members
+        put["member_inj"].append(sender_inj[fresh])
+        put["member_eject"].append(self.eject[senders][fresh])
+        put["member_share"].append(1.0 / size[home[senders]][fresh])
+        self.n_flows += n
+
+    def table(self) -> _FlowTable:
+        """The finished flow table (call once: it consumes the chunks)."""
+        col: dict[str, Any] = {
+            c: np.concatenate(self._chunks.pop(c)) for c in self._COLUMNS
+        }
+        inc = _Incidence.build(
+            col.pop("entries_per_flow"), col.pop("entry_link"),
+            len(self.links.caps),
+        )
+        return _FlowTable(
+            inc=inc, caps=np.array(self.links.caps),
+            classes=tuple(self.classes), groups=tuple(self.groups), **col,
+        )
 
 
 class FlowEngine:
@@ -214,113 +531,40 @@ class FlowEngine:
 
     name = "flow"
 
-    def __init__(self) -> None:
-        #: member nodes behind each aggregated injection link
-        self._inj_members: dict[int, tuple[int, ...]] = {}
-        #: node -> its class injection link (for ACK contention)
-        self._node_inj: dict[int, int] = {}
-
-    # ------------------------------------------------------------------
-    # topology graph
-    # ------------------------------------------------------------------
-
-    def _build_graph(self, topo: "Topology", links: _LinkTable) -> None:
-        """One directed unit-capacity link per wired switch port."""
-        for s in range(topo.num_switches):
-            for spec in topo.switch_ports(s):
-                if spec.link_class in ("local", "global"):
-                    links.add(f"l:{s}.{spec.port}", 1.0)
-
-    def _route(
-        self, topo: "Topology", src_switch: int, dst_switch: int,
-        links: _LinkTable,
-    ) -> tuple[list[tuple[int, float]], float]:
-        """Minimal switch-to-switch hops: ([(link id, latency)], #switches)."""
-        from repro.topology.dragonfly import DragonflyTopology
-        from repro.topology.single_switch import SingleSwitchTopology
-
-        if isinstance(topo, SingleSwitchTopology) or src_switch == dst_switch:
-            return [], 1.0
-        if isinstance(topo, DragonflyTopology):
-            hops: list[tuple[int, float]] = []
-            cur = src_switch
-            while cur != dst_switch:
-                if topo.group_of(cur) == topo.group_of(dst_switch):
-                    port = topo.local_port(cur, dst_switch)
-                else:
-                    port = topo.route_to_group(
-                        cur, topo.group_of(dst_switch)
-                    )
-                spec = topo.port_spec(cur, port)
-                assert spec.peer is not None and spec.peer[0] == "switch"
-                hops.append((links.id(f"l:{cur}.{port}"), float(spec.latency)))
-                cur = spec.peer[1]
-                if len(hops) > 8:  # minimal dragonfly paths are <= 3 hops
-                    raise EngineUnsupported(
-                        "flow routing failed to converge on this topology"
-                    )
-            return hops, float(len(hops) + 1)
-        raise EngineUnsupported(
-            f"flow engine has no routes for {type(topo).__name__}"
-        )
-
-    def _fattree_routes(
-        self, topo, src_leaf: int, dst_leaf: int, links: _LinkTable
-    ) -> list[tuple[list[tuple[int, float]], float]]:
-        """All spine routes leaf->spine->leaf (fluid ECMP splits)."""
-        routes = []
-        for spine in range(topo.num_spines):
-            spine_sw = topo.num_leaves + spine
-            up = links.id(f"l:{src_leaf}.{topo.uplink_port(src_leaf, spine)}")
-            down = links.id(
-                f"l:{spine_sw}.{topo.downlink_port(spine_sw, dst_leaf)}"
-            )
-            lat = float(topo.latency_up)
-            routes.append(([(up, lat), (down, lat)], 3.0))
-        return routes
-
-    def _switch_routes(
-        self, topo, src_switch: int, dst_switch: int, links: _LinkTable
-    ) -> list[tuple[list[tuple[int, float]], float]]:
-        from repro.topology.fattree import FatTreeTopology
-
-        if isinstance(topo, FatTreeTopology) and src_switch != dst_switch:
-            return self._fattree_routes(topo, src_switch, dst_switch, links)
-        return [self._route(topo, src_switch, dst_switch, links)]
-
-    # ------------------------------------------------------------------
-    # run
-    # ------------------------------------------------------------------
-
     def run(self, spec: "ScenarioSpec") -> EngineResult:
         """Solve the scenario's fluid steady state and aggregate stats
         in the shared :class:`EngineResult` schema."""
-        from repro.scenario.spec import (
-            HotspotTraffic,
-            UniformAggressorTraffic,
-            UniformTraffic,
-            build_topology,
-        )
-        from repro.topology.dragonfly import DragonflyTopology
+        from repro.scenario.spec import build_topology
 
         cfg = spec.resolved_config()
         topo, cfg = build_topology(spec, cfg)
         if topo is None:
             topo = DragonflyTopology(cfg.dragonfly, cfg.switch.num_ports)
-        total = topo.num_nodes
-        links = _LinkTable()
-        self._build_graph(topo, links)
-        self._inj_members.clear()
-        self._node_inj.clear()
+        table = self._flow_table(spec, cfg, topo)
+        if table is None:
+            return self._empty_result(cfg)
+        alloc, util, qdelay = self._solve(cfg, table)
+        return self._summarise(cfg, topo, table, alloc, util, qdelay)
 
-        flows: list[_Flow] = []
-        ecn_classes: list[str] = []
+    def _flow_table(
+        self, spec: "ScenarioSpec", cfg: "NetworkConfig", topo: "Topology"
+    ) -> _FlowTable | None:
+        """The scenario's traffic as fluid flows, or ``None`` if it
+        offers no load."""
+        from repro.scenario.spec import (
+            HotspotTraffic,
+            UniformAggressorTraffic,
+            UniformTraffic,
+        )
+
+        total = topo.num_nodes
+        everyone = range(total)
+        flows = _FlowBuilder(topo, cfg)
         for traffic in spec.traffic:
             if isinstance(traffic, UniformTraffic):
                 msg = traffic.msg_flits or cfg.switch.max_packet_flits
-                self._uniform_flows(
-                    topo, cfg, links, flows, ecn_classes,
-                    nodes=tuple(range(total)), rate=traffic.rate,
+                flows.spread(
+                    everyone, everyone, traffic.rate, total - 1,
                     msg_flits=msg, group="", name="uniform",
                 )
             elif isinstance(traffic, HotspotTraffic):
@@ -333,32 +577,28 @@ class FlowEngine:
                     raise EngineUnsupported(
                         "network too small for this hotspot configuration"
                     )
-                hot = tuple(range(total - num_hot, total))
-                aggr = tuple(range(total - num_hot - n_aggr, total - num_hot))
-                victims = tuple(range(total - num_hot - n_aggr))
-                self._uniform_flows(
-                    topo, cfg, links, flows, ecn_classes,
-                    nodes=victims, rate=traffic.victim_rate,
+                hot = range(total - num_hot, total)
+                aggr = range(total - num_hot - n_aggr, total - num_hot)
+                victims = range(total - num_hot - n_aggr)
+                flows.spread(
+                    victims, everyone, traffic.victim_rate, total - 1,
                     msg_flits=msg, group="victim", name="victim",
                 )
-                self._targeted_flows(
-                    topo, cfg, links, flows, ecn_classes,
-                    nodes=aggr, rate=1.0, dsts=hot,
+                flows.spread(
+                    aggr, hot, 1.0, len(hot),
                     msg_flits=msg, group="aggressor", name="aggressor",
                 )
             elif isinstance(traffic, UniformAggressorTraffic):
                 msg = cfg.switch.max_packet_flits
                 half = total // 2
-                self._uniform_flows(
-                    topo, cfg, links, flows, ecn_classes,
-                    nodes=tuple(range(half)), rate=traffic.victim_rate,
+                flows.spread(
+                    range(half), everyone, traffic.victim_rate, total - 1,
                     msg_flits=msg, group="victim", name="victim",
                 )
                 # closed-loop burst source: two messages outstanding, so
                 # its open-loop equivalent demand is window / rtt
-                self._uniform_flows(
-                    topo, cfg, links, flows, ecn_classes,
-                    nodes=tuple(range(half, total)), rate=1.0,
+                flows.spread(
+                    range(half, total), everyone, 1.0, total - 1,
                     msg_flits=traffic.burst_flits, group="aggressor",
                     name="aggressor",
                     outstanding_flits=2 * traffic.burst_flits,
@@ -368,347 +608,140 @@ class FlowEngine:
                     f"flow engine cannot model traffic {traffic!r}"
                 )
 
-        if not flows:
-            return self._empty_result(cfg)
-
-        if cfg.reliability.enabled and cfg.stash.enabled:
-            self._attach_stash_pools(topo, cfg, links, flows)
-
-        alloc, util = self._solve(cfg, flows, links, ecn_classes)
-        return self._summarise(cfg, topo, flows, alloc, util,
-                               ecn_on=cfg.ecn.enabled)
-
-    # ------------------------------------------------------------------
-    # flow construction
-    # ------------------------------------------------------------------
-
-    def _class_index(self, ecn_classes: list[str], name: str) -> int:
-        if name not in ecn_classes:
-            ecn_classes.append(name)
-        return ecn_classes.index(name)
-
-    def _endpoint_latency(self, topo: "Topology", node: int) -> float:
-        spec = topo.port_spec(topo.node_switch(node), topo.node_port(node))
-        return float(spec.latency)
-
-    def _make_flows(
-        self, topo, cfg: "NetworkConfig", links: _LinkTable,
-        src_switch: int, dst_node: int, weight: float, demand: float,
-        msg_flits: int, group: str, klass: int, inj_link: int,
-    ) -> list[_Flow]:
-        """The flow(s) for one aggregated (source switch, destination)
-        pair; fat-trees return one flow per ECMP spine split.
-
-        ACKs for the flow ride the reverse path back to the source
-        members: the destination's injection channel (when it also
-        sources data), the reverse switch hops, and the members'
-        ejection channels.
-        """
-        ej = links.ensure(f"ej:{dst_node}", 1.0)
-        ej_lat = self._endpoint_latency(topo, dst_node)
-        dst_switch = topo.node_switch(dst_node)
-        routes = self._switch_routes(topo, src_switch, dst_switch, links)
-        back_routes = self._switch_routes(topo, dst_switch, src_switch, links)
-        members = self._inj_members[inj_link]
-        member_share = 1.0 / len(members)
-        back_share = 1.0 / len(back_routes)
-        ack_common: list[tuple[int, float]] = []
-        if dst_node in self._node_inj:
-            ack_common.append((self._node_inj[dst_node], 1.0))
-        for hops, _count in back_routes:
-            ack_common.extend((l, back_share) for l, _lat in hops)
-        for u in members:
-            ack_common.append(
-                (links.ensure(f"ej:{u}", 1.0), member_share)
-            )
-        out = []
-        share = 1.0 / len(routes)
-        for hops, hop_count in routes:
-            lat = (
-                ej_lat * 2.0  # injection + ejection channels
-                + sum(h_lat for _l, h_lat in hops)
-                + hop_count * _HOP_CYCLES
-                + float(msg_flits)
-            )
-            out.append(_Flow(
-                links=(inj_link, *(l for l, _lat in hops), ej),
-                weight=weight * share,
-                demand=demand,
-                base_latency=lat,
-                group=group,
-                klass=klass,
-                msg_flits=msg_flits,
-                src_switch=src_switch,
-                ack_links=tuple(ack_common),
-            ))
-        return out
-
-    def _inj_link(
-        self, links: _LinkTable, name: str, switch: int,
-        members: list[int],
-    ) -> int:
-        inj = links.ensure(f"inj:{name}:{switch}", float(len(members)))
-        self._inj_members[inj] = tuple(members)
-        for u in members:
-            self._node_inj[u] = inj
-        return inj
-
-    def _uniform_flows(
-        self, topo, cfg, links: _LinkTable, flows: list[_Flow],
-        ecn_classes: list[str], nodes: tuple[int, ...], rate: float,
-        msg_flits: int, group: str, name: str,
-        outstanding_flits: int | None = None,
-    ) -> None:
-        """Uniform-random traffic from ``nodes`` to every other node,
-        aggregated per (source switch, destination node)."""
-        total = topo.num_nodes
-        if total < 2 or rate <= 0.0 or not nodes:
-            return
-        klass = self._class_index(ecn_classes, name)
-        by_switch: dict[int, list[int]] = {}
-        for u in nodes:
-            by_switch.setdefault(topo.node_switch(u), []).append(u)
-        unit = rate / (total - 1)
-        for a in sorted(by_switch):
-            members = by_switch[a]
-            inj = self._inj_link(links, name, a, members)
-            for v in range(total):
-                weight = sum(1 for u in members if u != v)
-                if not weight:
-                    continue
-                demand = unit
-                if outstanding_flits is not None:
-                    # closed loop: at most outstanding_flits in flight
-                    # per source, spread over its destinations
-                    probe = self._make_flows(
-                        topo, cfg, links, a, v, 1.0, 1.0, msg_flits,
-                        group, klass, inj,
-                    )[0]
-                    demand = min(unit, outstanding_flits / probe.rtt
-                                 / (total - 1))
-                flows.extend(self._make_flows(
-                    topo, cfg, links, a, v, float(weight), demand,
-                    msg_flits, group, klass, inj,
-                ))
-
-    def _targeted_flows(
-        self, topo, cfg, links: _LinkTable, flows: list[_Flow],
-        ecn_classes: list[str], nodes: tuple[int, ...], rate: float,
-        dsts: tuple[int, ...], msg_flits: int, group: str, name: str,
-    ) -> None:
-        """Traffic from ``nodes`` uniformly over the ``dsts`` set."""
-        if rate <= 0.0 or not nodes or not dsts:
-            return
-        klass = self._class_index(ecn_classes, name)
-        by_switch: dict[int, list[int]] = {}
-        for u in nodes:
-            by_switch.setdefault(topo.node_switch(u), []).append(u)
-        unit = rate / len(dsts)
-        for a in sorted(by_switch):
-            members = by_switch[a]
-            inj = self._inj_link(links, name, a, members)
-            for v in dsts:
-                weight = sum(1 for u in members if u != v)
-                if not weight:
-                    continue
-                flows.extend(self._make_flows(
-                    topo, cfg, links, a, v, float(weight), unit,
-                    msg_flits, group, klass, inj,
-                ))
-
-    def _attach_stash_pools(
-        self, topo, cfg, links: _LinkTable, flows: list[_Flow]
-    ) -> None:
-        """Bound each source switch's in-flight flits by its stash pool:
-        ``sum(rate * rtt) <= pool`` (Little's law), encoded as a virtual
-        link consumed at coefficient ``rtt`` per unit rate."""
-        st = cfg.stash
-        pooled = cfg.switch.input_buffer_flits + cfg.switch.output_buffer_flits
-        pool_ids: dict[int, int] = {}
-        for s in range(topo.num_switches):
-            pool = 0.0
-            for pspec in topo.switch_ports(s):
-                if pspec.link_class in ("endpoint", "local", "global"):
-                    pool += st.fraction_for(pspec.link_class) * pooled
-            pool *= st.capacity_scale
-            if pool > 0.0:
-                pool_ids[s] = links.add(f"stash:{s}", pool)
-        for f in flows:
-            if f.src_switch in pool_ids:
-                f.stash_link = pool_ids[f.src_switch]
+        return flows.table() if flows.n_flows else None
 
     # ------------------------------------------------------------------
     # solving
     # ------------------------------------------------------------------
 
     def _solve(
-        self, cfg, flows: list[_Flow], links: _LinkTable,
-        ecn_classes: list[str],
-    ) -> tuple[list[float], list[float]]:
+        self, cfg: "NetworkConfig", t: _FlowTable
+    ) -> tuple[Floats, Floats, Floats]:
         """Damped fixed point over (allocation, ACK load, queueing RTT),
         with the ECN window schedule layered on when ECN is enabled.
 
-        Returns (per-unit allocations, per-link utilizations) and leaves
-        each flow's ``rtt``/``qdelay`` at their converged values.
+        Returns per-unit allocations, per-link utilizations and the
+        per-flow queueing delays of the last step.
         """
         ecn = cfg.ecn
-        ecn_on = ecn.enabled
-        steps = _ECN_STEPS if ecn_on else _FP_STEPS
+        steps = _ECN_STEPS if ecn.enabled else _FP_STEPS
         keep_from = steps - max(1, steps // 4)
-        windows = [float(ecn.window_max_flits)] * len(ecn_classes)
-        weights = [f.weight for f in flows]
-        base_caps = links.caps
-        ack_load = [0.0] * len(base_caps)
+        inc, n_links = t.inc, len(t.caps)
+        windows = np.full(len(t.classes), float(ecn.window_max_flits))
+        # only the stash entries' coefficients (rtt) change between steps
+        pooled = np.flatnonzero(t.stash_link >= 0)
+        pool_entry = inc.flow_ptr[pooled + 1] - 1
+        pool_of = t.stash_link[pooled]
+        flow_inj = inc.entry_link[inc.flow_ptr[:-1]]  # a flow's first link
+        entry_weight = t.weight[inc.entry_flow]
+        entry_msg = t.msg_flits[inc.entry_flow]
+        rtt = 2.0 * t.base_latency
+        ack_load = np.zeros(n_links)
         buffer_cap = float(cfg.switch.input_buffer_flits)
-        tail: list[list[float]] = []
-        alloc = [0.0] * len(flows)
-        util = [0.0] * len(base_caps)
+        tail: list[Floats] = []
         for step in range(steps):
-            entries = []
-            for f in flows:
-                if f.stash_link >= 0:
-                    entries.append((
-                        (*f.links, f.stash_link),
-                        (*(1.0,) * len(f.links), f.rtt),
-                    ))
-                else:
-                    entries.append((f.links, (1.0,) * len(f.links)))
-            caps_eff = [
-                max(_EPS, c - a) for c, a in zip(base_caps, ack_load)
-            ]
-            if ecn_on:
-                demand_caps = [
-                    min(f.demand, windows[f.klass] / f.rtt) for f in flows
-                ]
-            else:
-                demand_caps = [f.demand for f in flows]
-            alloc = _maxmin(entries, weights, caps_eff, demand_caps)
-
-            # total (data + ACK) load per link under this allocation
-            load = list(ack_load)
-            for f, x in zip(flows, alloc):
-                r = f.weight * x
-                for l in f.links:
-                    load[l] += r
-            util = [
-                (load[l] / base_caps[l]) if base_caps[l] > 0 else 0.0
-                for l in range(len(base_caps))
-            ]
+            entry_weight[pool_entry] = t.weight[pooled] * rtt[pooled]
+            demand_caps = t.demand
+            if ecn.enabled:
+                demand_caps = np.minimum(demand_caps, windows[t.klass] / rtt)
+            alloc = _maxmin(
+                inc, entry_weight, np.maximum(_EPS, t.caps - ack_load),
+                demand_caps,
+            )
+            # total (data + ACK) load per link under this allocation; a
+            # stash pool is a constraint, not a channel: no load, no queue
+            rate = t.weight * alloc
+            util = (ack_load + np.bincount(
+                inc.entry_link, rate[inc.entry_flow], minlength=n_links
+            )) / t.caps
+            util[pool_of] = 0.0
             # queueing delay -> damped RTT update (feeds the stash pool
             # coefficients and the ECN window caps next step)
-            for f in flows:
-                q = 0.0
-                for l in f.links:
-                    rho = min(util[l], 0.999999)
-                    if rho > 0.0:
-                        q += min(
-                            0.5 * rho / (1.0 - rho) * f.msg_flits,
-                            buffer_cap,
-                        )
-                f.qdelay = q
-                f.rtt = 0.5 * f.rtt + 0.5 * (2.0 * (f.base_latency + q))
+            rho = np.minimum(util, 0.999999)
+            wait = 0.5 * rho / (1.0 - rho)
+            qdelay = np.bincount(
+                inc.entry_flow,
+                np.minimum(wait[inc.entry_link] * entry_msg, buffer_cap),
+                minlength=len(alloc),
+            )
+            rtt = 0.5 * rtt + 0.5 * (2.0 * (t.base_latency + qdelay))
             # next step's ACK background load (priority traffic)
-            ack_load = [0.0] * len(base_caps)
-            for f, x in zip(flows, alloc):
-                a = f.weight * x / f.msg_flits
-                for l, ack_share in f.ack_links:
-                    ack_load[l] += a * ack_share
-            if ecn_on:
-                congested = [False] * len(ecn_classes)
-                for f, x in zip(flows, alloc):
-                    if congested[f.klass]:
-                        continue
-                    for l in f.links:
-                        if util[l] >= _ECN_UTILIZATION:
-                            congested[f.klass] = True
-                            break
-                for k in range(len(ecn_classes)):
-                    if congested[k]:
-                        windows[k] = max(
-                            float(ecn.window_min_flits),
-                            windows[k] * ecn.window_decrease,
-                        )
-                    else:
-                        windows[k] = min(
-                            float(ecn.window_max_flits),
-                            windows[k] + float(ecn.recovery_flits),
-                        )
+            ack_rate = rate / t.msg_flits
+            per_inj = np.bincount(flow_inj, ack_rate, minlength=n_links)
+            ack_load = np.bincount(
+                t.ack_link, ack_rate[t.ack_flow] * t.ack_share,
+                minlength=n_links,
+            ) + np.bincount(
+                t.member_eject, per_inj[t.member_inj] * t.member_share,
+                minlength=n_links,
+            )
+            if ecn.enabled:
+                hot = (util >= _ECN_UTILIZATION)[inc.entry_link]
+                congested = np.bincount(
+                    t.klass[inc.entry_flow[hot]], minlength=len(windows)
+                ) > 0
+                windows = np.where(
+                    congested,
+                    np.maximum(float(ecn.window_min_flits),
+                               windows * ecn.window_decrease),
+                    np.minimum(float(ecn.window_max_flits),
+                               windows + float(ecn.recovery_flits)),
+                )
             if step >= keep_from:
                 tail.append(alloc)
-        if tail:
-            alloc = [
-                sum(step_alloc[i] for step_alloc in tail) / len(tail)
-                for i in range(len(flows))
-            ]
-        return alloc, util
+        return sum(tail[1:], tail[0]) / len(tail), util, qdelay
 
     # ------------------------------------------------------------------
     # result assembly
     # ------------------------------------------------------------------
 
     def _summarise(
-        self, cfg, topo, flows: list[_Flow], alloc: list[float],
-        util: list[float], ecn_on: bool,
+        self, cfg: "NetworkConfig", topo: "Topology", t: _FlowTable,
+        alloc: Floats, util: Floats, qdelay: Floats,
     ) -> EngineResult:
         nodes = max(1, topo.num_nodes)
-        samples: list[tuple[float, float]] = []
-        group_samples: dict[str, list[tuple[float, float]]] = {}
-        group_pkts: dict[str, float] = {}
-        offered = accepted = 0.0
-        pkt_rate = 0.0
-        for f, x in zip(flows, alloc):
-            offered += f.weight * f.demand
-            rate = f.weight * x
-            accepted += rate
-            lat = f.base_latency + f.qdelay
-            w = max(rate, _EPS)
-            samples.append((lat, w))
-            if f.group:
-                group_samples.setdefault(f.group, []).append((lat, w))
-                group_pkts[f.group] = group_pkts.get(f.group, 0.0) + (
-                    rate / f.msg_flits if f.msg_flits else 0.0
-                )
-            if f.msg_flits > 0:
-                pkt_rate += rate / f.msg_flits
-
         sim = cfg.sim
-        if not samples:
-            return self._empty_result(cfg)
+        rate = t.weight * alloc
+        latency = t.base_latency + qdelay
+        sample_weight = np.maximum(rate, _EPS)
+        pkt_rate = rate / t.msg_flits
 
-        total_w = sum(w for _v, w in samples)
-        mean = sum(v * w for v, w in samples) / total_w
-        groups = tuple(
-            (
-                name,
-                GroupStats(
-                    count=int(group_pkts.get(name, 0.0) * sim.measure_cycles),
-                    mean=sum(v * w for v, w in gs) / sum(w for _v, w in gs),
-                    p50=_weighted_percentile(gs, 50),
-                    p90=_weighted_percentile(gs, 90),
-                    p99=_weighted_percentile(gs, 99),
-                    max=max(v for v, _w in gs),
-                ),
+        def stats(pick: "slice | NDArray[np.bool_]") -> GroupStats:
+            lat, w = latency[pick], sample_weight[pick]
+            p50, p90, p99 = _weighted_percentiles(lat, w, (50, 90, 99))
+            # summed in flow order (cumsum), as a Python loop would: the
+            # count truncates a product that is an exact integer below
+            # saturation, and a pairwise sum rounds to the other side of
+            # it on a third of a load grid
+            packets = float(np.cumsum(pkt_rate[pick])[-1])
+            return GroupStats(
+                count=int(packets * sim.measure_cycles),
+                mean=float((lat * w).sum() / w.sum()),
+                p50=p50, p90=p90, p99=p99, max=float(lat.max()),
             )
-            for name, gs in sorted(group_samples.items())
-        )
+
+        overall = stats(slice(None))
         return EngineResult(
             engine=self.name,
-            offered_load=offered / nodes,
-            accepted_load=accepted / nodes,
-            avg_latency=mean,
-            p90_latency=_weighted_percentile(samples, 90),
-            p99_latency=_weighted_percentile(samples, 99),
-            max_latency=max(v for v, _w in samples),
-            packets_measured=int(pkt_rate * sim.measure_cycles),
+            offered_load=float((t.weight * t.demand).sum()) / nodes,
+            accepted_load=float(rate.sum()) / nodes,
+            avg_latency=overall.mean,
+            p90_latency=overall.p90,
+            p99_latency=overall.p99,
+            max_latency=overall.max,
+            packets_measured=overall.count,
             cycles=sim.warmup_cycles + sim.measure_cycles,
-            groups=groups,
+            groups=tuple(
+                (name, stats(t.group == t.groups.index(name)))
+                for name in sorted(t.groups) if name
+            ),
             extras=(
-                ("bottleneck_utilization", max(util) if util else 0.0),
-                ("ecn_steps", float(_ECN_STEPS if ecn_on else 0)),
+                ("bottleneck_utilization", float(util.max())),
+                ("ecn_steps", float(_ECN_STEPS if cfg.ecn.enabled else 0)),
             ),
         )
 
-    def _empty_result(self, cfg) -> EngineResult:
+    def _empty_result(self, cfg: "NetworkConfig") -> EngineResult:
         sim = cfg.sim
         return EngineResult(
             engine=self.name,

@@ -8,9 +8,12 @@ statistically close.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
+from repro.engine import fastpath
 from repro.engine.base import EngineResult, EngineUnsupported, get_engine
+from repro.engine.config import tiny_preset
 from repro.scenario import (
     FatTreeTopologySpec,
     ScenarioSpec,
@@ -53,10 +56,26 @@ def test_flow_throughput_monotone_and_saturating():
     ]
     # monotone up to fixed-point convergence noise
     for lo, hi in zip(accepted, accepted[1:]):
-        assert hi >= lo - 1e-4
+        assert hi >= lo - 1e-6
     # saturation: accepted never exceeds offered
     for load, acc in zip((0.2, 0.5, 0.8, 1.0), accepted):
         assert acc <= load + 1e-6
+
+
+def test_flow_stash25_plateau_is_flat():
+    """Past the stash25 knee the pool bound, not the offered load, sets
+    throughput.  An allocator that stops early makes the plateau jitter
+    by ~3e-4 here, which a 1e-4 tolerance on four loads did not see."""
+    cfg = tiny_preset()
+    accepted = [
+        _flow(reliability_scenario(
+            cfg, "stash25", traffic=(UniformTraffic(rate=0.56 + 0.04 * step),)
+        )).accepted_load
+        for step in range(10)  # 0.56 ... 0.92
+    ]
+    for lo, hi in zip(accepted, accepted[1:]):
+        assert hi >= lo - 1e-6
+    assert max(accepted) - min(accepted) < 1e-6
 
 
 def test_flow_stash_capacity_binds():
@@ -89,6 +108,35 @@ def test_flow_supports_all_three_topologies():
         )
         assert isinstance(r, EngineResult)
         assert r.accepted_load > 0
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="pinned, not fixed (docs/FASTPATH.md, ROADMAP 3(d)): a "
+    "destination's injection link is charged for ACKs only if its source "
+    "switch was visited first",
+)
+def test_flow_ack_charging_is_symmetric_across_source_switches(monkeypatch):
+    """Every source switch's flows should load as many destination
+    injection links with ACKs as any other's; on tiny uniform traffic
+    switch 0's charge 2 of 42 destinations and switch 20's all 42."""
+    tables = []
+    solve = fastpath.FlowEngine._solve
+
+    def spy(self, cfg, table):
+        tables.append(table)
+        return solve(self, cfg, table)
+
+    monkeypatch.setattr(fastpath.FlowEngine, "_solve", spy)
+    _flow(ScenarioSpec(
+        config=tiny_preset(), traffic=(UniformTraffic(rate=0.5),)
+    ))
+    (t,) = tables
+    flow_inj = t.inc.entry_link[t.inc.flow_ptr[:-1]]
+    inj_links = np.unique(flow_inj)  # in source-switch order
+    onto_inj = np.isin(t.ack_link, inj_links)
+    charged = np.bincount(flow_inj[t.ack_flow[onto_inj]])[inj_links]
+    assert charged[0] == charged[-1]
 
 
 def test_flow_rejects_unknown_traffic():
