@@ -51,6 +51,18 @@ def full_base() -> NetworkConfig:
     return preset_by_name("tiny")
 
 
+def sweep_rows(sweep, base, axes, jobs=1):
+    """One sweep family on the cycle engine at experiment seed 1 — the
+    runner's path: ``expand_sweep`` -> ``run_points``; returns the
+    ``(point, result)`` rows."""
+    from repro.campaign.service import run_points
+    from repro.campaign.spec import expand_sweep
+
+    return run_points(
+        expand_sweep(sweep, base, axes, (1,), "cycle"), jobs=jobs
+    )
+
+
 def run_once(benchmark, fn, *args, **kwargs):
     """Run an experiment exactly once under the benchmark timer."""
     return benchmark.pedantic(fn, args=args, kwargs=kwargs,

@@ -7,8 +7,8 @@
 
 import pytest
 
-from benchmarks.conftest import run_once
-from repro.experiments.fattree_exp import run_fattree_reliability
+from benchmarks.conftest import run_once, sweep_rows
+from repro.analysis.campaign import rows_by_variant
 from repro.experiments.occupancy import run_occupancy_census
 
 
@@ -30,10 +30,19 @@ def test_occupancy_census_confirms_table1_dynamically(benchmark, quick_base):
 
 @pytest.mark.benchmark(group="extensions")
 def test_fattree_reliability_tracks_baseline(benchmark, quick_base):
-    results = run_once(
-        benchmark, run_fattree_reliability, quick_base, (0.3, 0.6),
-        ("baseline", "stash100", "stash25"),
+    rows = run_once(
+        benchmark, sweep_rows, "fattree", quick_base,
+        {"loads": (0.3, 0.6),
+         "variants": ("baseline", "stash100", "stash25")},
     )
+    # variant -> [(offered, accepted, avg latency)]
+    results = {
+        variant: [
+            (r.offered_load, r.accepted_load, r.avg_latency)
+            for _point, r in group
+        ]
+        for variant, group in rows_by_variant(rows).items()
+    }
     base = results["baseline"]
     full = results["stash100"]
     quarter = results["stash25"]

@@ -7,26 +7,31 @@ Paper shape: stash 100 %/50 % track the baseline; 25 % saturates early
 
 import pytest
 
-from benchmarks.conftest import run_once
+from benchmarks.conftest import run_once, sweep_rows
+from repro.analysis.campaign import rows_by_variant
 from repro.analysis.metrics import saturation_load
-from repro.experiments.fig5 import run_fig5
 
 LOADS = (0.2, 0.5, 0.8)
 
 
 @pytest.mark.benchmark(group="fig5")
 def test_fig5_latency_and_throughput(benchmark, quick_base, jobs):
-    results = run_once(
-        benchmark, run_fig5, quick_base, LOADS,
-        ("baseline", "stash100", "stash50", "stash25"),
+    rows = run_once(
+        benchmark, sweep_rows, "fig5", quick_base,
+        {"loads": LOADS,
+         "variants": ("baseline", "stash100", "stash50", "stash25")},
         jobs=jobs,
     )
+    results = {
+        variant: [r for _point, r in group]
+        for variant, group in rows_by_variant(rows).items()
+    }
 
     def series(variant):
-        return [(p.offered, p.accepted) for p in results[variant]]
+        return [(r.offered_load, r.accepted_load) for r in results[variant]]
 
     def accepted_at(variant, idx):
-        return results[variant][idx].accepted
+        return results[variant][idx].accepted_load
 
     # (b) below saturation everyone delivers the offered load
     for variant in results:
@@ -52,8 +57,8 @@ def test_fig5_latency_and_throughput(benchmark, quick_base, jobs):
 
     for variant in results:
         benchmark.extra_info[variant] = {
-            "accepted": [round(p.accepted, 3) for p in results[variant]],
-            "avg_latency": [round(p.avg_latency, 1) for p in results[variant]],
+            "accepted": [round(r.accepted_load, 3) for r in results[variant]],
+            "avg_latency": [round(r.avg_latency, 1) for r in results[variant]],
         }
     benchmark.extra_info["saturation"] = {
         v: saturation_load(series(v)) for v in results

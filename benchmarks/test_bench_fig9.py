@@ -8,19 +8,28 @@ catches very long bursts).
 
 import pytest
 
-from benchmarks.conftest import run_once
-from repro.experiments.fig9 import run_fig9
+from benchmarks.conftest import run_once, sweep_rows
+from repro.analysis.campaign import rows_by_variant
 
 BURSTS = (4, 16, 64)
 
 
 @pytest.mark.benchmark(group="fig9")
 def test_fig9_burst_sweep(benchmark, quick_base, jobs):
-    results = run_once(
-        benchmark, run_fig9, quick_base, BURSTS,
-        ("baseline", "stash100"), 0.4,
+    rows = run_once(
+        benchmark, sweep_rows, "fig9", quick_base,
+        {"bursts_pkts": BURSTS, "variants": ("baseline", "stash100"),
+         "victim_rate": 0.4},
         jobs=jobs,
     )
+    # variant -> [(burst pkts, victim p90 latency, victim accepted load)]
+    results = {
+        variant: [
+            (point.key[2], r.group("victim").p90, r.accepted_load)
+            for point, r in group
+        ]
+        for variant, group in rows_by_variant(rows).items()
+    }
 
     base = results["baseline"]
     stash = results["stash100"]

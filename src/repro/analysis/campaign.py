@@ -22,10 +22,17 @@ from repro.engine.base import EngineResult
 
 __all__ = [
     "CampaignReportError",
+    "Rows",
     "campaign_rows",
     "format_campaign_report",
     "rank_percentile",
+    "rows_by_variant",
 ]
+
+#: ``(point, result)`` pairs in expansion order — what
+#: :func:`campaign_rows` reads from a store and
+#: :func:`repro.campaign.service.run_points` computes
+Rows = list[tuple[CampaignPoint, EngineResult]]
 
 
 class CampaignReportError(RuntimeError):
@@ -33,14 +40,12 @@ class CampaignReportError(RuntimeError):
     campaign; the message lists the unreadable points."""
 
 
-def campaign_rows(
-    campaign: Campaign, store: ResultStore
-) -> list[tuple[CampaignPoint, EngineResult]]:
+def campaign_rows(campaign: Campaign, store: ResultStore) -> Rows:
     """Every campaign point paired with its stored result, in expansion
     order.  Raises :class:`CampaignReportError` naming any point whose
     entry is missing or corrupt (a partial store has no consistent
     report; run the campaign to completion first)."""
-    rows: list[tuple[CampaignPoint, EngineResult]] = []
+    rows: Rows = []
     missing: list[str] = []
     for point in expand_campaign(campaign):
         entry = store.get(point.store_key())
@@ -58,6 +63,16 @@ def campaign_rows(
             f"{campaign.name!r}:\n" + "\n".join(missing)
         )
     return rows
+
+
+def rows_by_variant(rows: Rows) -> dict[str, Rows]:
+    """Group rows by their point's variant (``key[1]``), variants in
+    first-seen order and each group in row order — the shape every
+    per-figure table and the campaign report print."""
+    by_variant: dict[str, Rows] = {}
+    for point, result in rows:
+        by_variant.setdefault(str(point.key[1]), []).append((point, result))
+    return by_variant
 
 
 def rank_percentile(sorted_values: list[float], pct: float) -> float:
@@ -78,19 +93,9 @@ def _fmt(value: float) -> str:
     return "n/a" if value != value else f"{value:.1f}"
 
 
-def format_campaign_report(
-    campaign: Campaign,
-    rows: list[tuple[CampaignPoint, EngineResult]],
-) -> str:
+def format_campaign_report(campaign: Campaign, rows: Rows) -> str:
     """Render the campaign's per-variant tables and latency CDF."""
-    variants: list[str] = []
-    by_variant: dict[str, list[tuple[CampaignPoint, EngineResult]]] = {}
-    for point, result in rows:
-        variant = str(point.key[1]) if len(point.key) > 1 else "all"
-        if variant not in by_variant:
-            variants.append(variant)
-            by_variant[variant] = []
-        by_variant[variant].append((point, result))
+    by_variant = rows_by_variant(rows)
 
     has_victim = bool(rows) and all(
         any(name == "victim" for name, _stats in result.groups)
@@ -107,8 +112,8 @@ def format_campaign_report(
         f"{'accepted':>9} {'avg lat':>8} {'p90':>8} {'p99':>8}"
         + (f" {'victim p90':>11}" if has_victim else ""),
     ]
-    for variant in variants:
-        for point, result in by_variant[variant]:
+    for variant, group in by_variant.items():
+        for point, result in group:
             axis = point.key[2] if len(point.key) > 2 else ""
             row = (
                 f"{variant:<10} {point.sweep_seed:>5} {axis!s:>8} "
@@ -130,11 +135,10 @@ def format_campaign_report(
         f"{'variant':<10} {'n':>4} {'min':>8} {'p50':>8} {'p90':>8} "
         f"{'p99':>8} {'max':>8}"
     )
-    for variant in variants:
+    series = {}
+    for variant, group in by_variant.items():
         lats = sorted(
-            r.avg_latency
-            for _p, r in by_variant[variant]
-            if r.avg_latency == r.avg_latency
+            r.avg_latency for _p, r in group if r.avg_latency == r.avg_latency
         )
         if not lats:
             lines.append(f"{variant:<10} {0:>4} " + " ".join(["     n/a"] * 5))
@@ -145,19 +149,10 @@ def format_campaign_report(
             f"{rank_percentile(lats, 90):>8.1f} "
             f"{rank_percentile(lats, 99):>8.1f} {lats[-1]:>8.1f}"
         )
-
-    series = {}
-    for variant in variants:
-        lats = sorted(
-            r.avg_latency
-            for _p, r in by_variant[variant]
-            if r.avg_latency == r.avg_latency
+        series[variant] = (
+            lats,
+            [(i + 1) / len(lats) for i in range(len(lats))],
         )
-        if lats:
-            series[variant] = (
-                lats,
-                [(i + 1) / len(lats) for i in range(len(lats))],
-            )
     if series:
         lines.append("")
         lines.append("avg-latency CDF (x: cycles, y: fraction of points)")

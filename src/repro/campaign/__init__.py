@@ -1,8 +1,10 @@
 """Declarative sweep campaigns with a content-hash result cache.
 
 The campaign service (docs/CAMPAIGNS.md) turns a TOML/JSON campaign
-file into a grid of :class:`repro.scenario.ScenarioSpec` points, runs
-them through the ``--jobs`` executor, and persists every result in a
+file into a grid of :class:`repro.scenario.ScenarioSpec` points
+(:func:`expand_sweep` — the expansion the interactive runner shares),
+runs them through the ``--jobs`` executor (:func:`run_points`), and
+persists every result in a
 content-addressed :class:`ResultStore` keyed by
 ``(spec_hash, engine, result_schema_version)`` — so reruns compute only
 missing points, shards merge byte-identically, and a run killed at any
@@ -16,6 +18,7 @@ from repro.campaign.spec import (
     RESULT_SCHEMA_VERSION,
     SWEEPS,
     expand_campaign,
+    expand_sweep,
     load_campaign,
     parse_campaign_text,
     shard_points,
@@ -26,7 +29,7 @@ from repro.campaign.store import (
     ResultStore,
     merge_stores,
 )
-from repro.campaign.service import CampaignRunSummary, run_campaign
+from repro.campaign.service import CampaignRunSummary, run_campaign, run_points
 
 __all__ = [
     "Campaign",
@@ -39,9 +42,11 @@ __all__ = [
     "ResultStore",
     "SWEEPS",
     "expand_campaign",
+    "expand_sweep",
     "load_campaign",
     "merge_stores",
     "parse_campaign_text",
     "run_campaign",
+    "run_points",
     "shard_points",
 ]

@@ -112,6 +112,9 @@ def _cmd_merge(args: argparse.Namespace) -> int:
     except MergeConflictError as exc:
         print(f"merge conflict: {exc}", file=sys.stderr)
         return 1
+    except NotADirectoryError as exc:
+        print(f"merge source: {exc}", file=sys.stderr)
+        return 1
     print(
         f"merged {len(args.sources)} store(s) into {args.dest}: "
         f"{copied} copied, {identical} already identical"
@@ -199,6 +202,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "jobs", 1) < 1:
         parser.error("--jobs must be >= 1")
+    batch = getattr(args, "batch", None)
+    if batch is not None and batch < 1:
+        parser.error("--batch must be >= 1")
     return args.func(args)
 
 

@@ -39,15 +39,16 @@ from repro.engine.base import EngineResult
 from repro.engine.parallel import RunOutcome, run_specs
 from repro.obs.counters import CounterRegistry
 
-__all__ = ["CampaignRunSummary", "point_meta", "run_campaign"]
+__all__ = ["CampaignRunSummary", "point_meta", "run_campaign", "run_points"]
 
 ProgressSink = Callable[[str], None]
 
 
 @dataclass(frozen=True)
 class CampaignRunSummary:
-    """What one :func:`run_campaign` invocation did (deterministic —
-    no wall-clock fields, so summaries diff cleanly across reruns)."""
+    """What one :func:`run_campaign` invocation did.  Every field but
+    ``compute_seconds`` is deterministic, and :meth:`format` leaves that
+    one out, so receipts diff cleanly across reruns."""
 
     name: str
     sweep: str
@@ -103,8 +104,28 @@ def point_meta(point: CampaignPoint) -> dict[str, Any]:
     }
 
 
+def run_points(
+    points: list[CampaignPoint],
+    jobs: int = 1,
+    progress: Callable[[int, int, RunOutcome], None] | None = None,
+) -> list[tuple[CampaignPoint, EngineResult]]:
+    """Run every point on its engine; returns ``(point, result)`` rows
+    in point order — the rows :func:`repro.analysis.campaign.campaign_rows`
+    reads back from a store.
+
+    Deterministic for any ``jobs`` value on both engines: the cycle
+    engine via the points' derived seeds, the flow engine because it is
+    a pure function of the spec.  ``progress`` is the ``run_specs``
+    callback, called in this process as each point completes.
+    """
+    outcomes = run_specs(
+        [point.run_spec() for point in points], jobs=jobs, progress=progress
+    )
+    return [(point, outcome.value) for point, outcome in zip(points, outcomes)]
+
+
 def _batched(items: list, size: int | None) -> list[list]:
-    if size is None or size <= 0 or size >= len(items):
+    if size is None or size >= len(items):
         return [items] if items else []
     return [items[i : i + size] for i in range(0, len(items), size)]
 
@@ -177,23 +198,19 @@ def run_campaign(
             # called in the parent process as each point completes —
             # persisting here is what makes a SIGKILL lose only the
             # points still in flight
+            nonlocal compute_seconds
             point = by_key[outcome.key]
             result = outcome.value
             assert isinstance(result, EngineResult)
             store.put(point.store_key(), result, point_meta(point))
             reg.counter("campaign.points.computed").add(1)
+            compute_seconds += outcome.wall_seconds
             say(
                 f"[{campaign.name} run {offset + done}/{total_misses}] "
                 f"{outcome.key!r} ({outcome.wall_seconds:.1f}s)"
             )
 
-        outcomes = run_specs(
-            [point.run_spec() for point in admitted],
-            jobs=jobs,
-            progress=persist,
-        )
-        computed += len(outcomes)
-        compute_seconds += sum(o.wall_seconds for o in outcomes)
+        computed += len(run_points(admitted, jobs=jobs, progress=persist))
 
     return CampaignRunSummary(
         name=campaign.name,

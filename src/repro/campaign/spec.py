@@ -4,19 +4,19 @@ A **campaign** is a parameter study written down as data — which sweep
 family (``fig5`` / ``fig9`` / ``fattree``), which preset and engine,
 which axis values (loads, burst sizes, variants), and which experiment
 seeds — loaded from a TOML or JSON file (or built programmatically) and
-expanded into the exact :class:`repro.scenario.ScenarioSpec` grid the
-interactive runner would execute.  The expansion is the psim
-``ConfigSweeper`` idiom recast onto this repo's scenario layer: the
-campaign file is the single source of truth, and every execution path —
-serial, ``--jobs N``, ``--shard i/N``, resumed after a kill — derives
-the same ordered point list from it.
+expanded into a :class:`repro.scenario.ScenarioSpec` grid.  The
+expansion is the psim ``ConfigSweeper`` idiom recast onto this repo's
+scenario layer: the campaign file is the single source of truth, and
+every execution path — serial, ``--jobs N``, ``--shard i/N``, resumed
+after a kill — derives the same ordered point list from it.
 
-Determinism contract: expansion order, point labels, and the per-point
-derived seeds are exactly those of the interactive sweep harness
-(:mod:`repro.experiments.common`), so a campaign's cached results are
-interchangeable with ``repro-experiments`` output, and a point's cache
-key (:meth:`CampaignPoint.store_key`) is stable across processes,
-hosts, and reruns.
+Determinism contract: :func:`expand_sweep` is the one expansion —
+``repro-experiments fig5|fig9|fattree`` calls it with the CLI's preset,
+quick grid and ``--seed``, :func:`expand_campaign` with the campaign
+file's — so expansion order, point labels and per-point derived seeds
+cannot differ between the two, a campaign's cached results *are* the
+runner's, and a point's cache key (:meth:`CampaignPoint.store_key`) is
+stable across processes, hosts, and reruns.
 
 File schema (see docs/CAMPAIGNS.md for the full reference)::
 
@@ -44,7 +44,7 @@ import hashlib
 import json
 import tomllib
 from dataclasses import dataclass, field, replace
-from typing import Any
+from typing import Any, Mapping, Sequence
 
 from repro.engine.config import NetworkConfig
 from repro.engine.parallel import RunSpec, derive_run_seed
@@ -64,8 +64,10 @@ __all__ = [
     "RESULT_SCHEMA_VERSION",
     "SWEEPS",
     "expand_campaign",
+    "expand_sweep",
     "load_campaign",
     "parse_campaign_text",
+    "seed_points",
     "shard_points",
 ]
 
@@ -77,7 +79,8 @@ __all__ = [
 #: points moved; docs/FASTPATH.md)
 RESULT_SCHEMA_VERSION = 2
 
-#: sweep family -> experiment module exposing ``campaign_entries``
+#: sweep family -> experiment module exposing ``<sweep>_entries(base,
+#: axes)`` (the grid) and ``format_<sweep>(rows)`` (the figure's table)
 SWEEPS: dict[str, str] = {
     "fig5": "repro.experiments.fig5",
     "fig9": "repro.experiments.fig9",
@@ -105,7 +108,7 @@ class Campaign:
     """One declarative sweep campaign (the parsed campaign file).
 
     ``axes`` holds the sweep-specific grid axes (validated by the sweep
-    module's ``campaign_entries``); ``windows`` optionally overrides the
+    module's ``<sweep>_entries``); ``windows`` optionally overrides the
     preset's measurement windows; ``quick`` applies the runner's
     ``--quick`` halving before the window overrides.
     """
@@ -212,9 +215,8 @@ class CampaignPoint:
         return (self.spec.spec_hash(), self.engine, RESULT_SCHEMA_VERSION)
 
     def run_spec(self) -> RunSpec:
-        """Lower to an executor spec — identical construction to
-        :func:`repro.experiments.common.sweep_specs`, so cached campaign
-        results are interchangeable with interactive sweep output."""
+        """Lower to an executor spec — the one place an engine run is
+        bound to :func:`~repro.experiments.common.scenario_point`."""
         return RunSpec(
             key=self.key,
             fn=scenario_point,
@@ -223,31 +225,16 @@ class CampaignPoint:
         )
 
 
-def _sweep_entries(campaign: Campaign, base: NetworkConfig) -> list[SweepEntry]:
-    """Ask the sweep family's experiment module to expand the axes."""
-    import importlib
-
-    module = importlib.import_module(SWEEPS[campaign.sweep])
-    try:
-        builder = module.campaign_entries
-    except AttributeError as exc:  # pragma: no cover - registry bug
-        raise CampaignError(
-            f"sweep module {SWEEPS[campaign.sweep]} lacks campaign_entries"
-        ) from exc
-    return builder(base, dict(campaign.axes))
-
-
-def expand_campaign(campaign: Campaign) -> list[CampaignPoint]:
-    """Expand a campaign into its ordered, fully seeded point list.
-
-    Order is (seed-major, sweep-entry order) and depends only on the
-    campaign definition — never on caches, shards, or worker counts —
-    so point indices are a stable partitioning key for ``--shard``.
+def seed_points(
+    entries: Sequence[SweepEntry], seeds: Sequence[int], engine: str
+) -> list[CampaignPoint]:
+    """Seed sweep entries into points: one per (experiment seed, entry),
+    seed-major, each carrying ``derive_run_seed(seed, entry.label)`` —
+    a function of the experiment seed and the label alone, so a point
+    keeps its seed (and cache key) however the grid around it changes.
     """
-    base = campaign.base_config()
-    entries = _sweep_entries(campaign, base)
     points: list[CampaignPoint] = []
-    for sweep_seed in campaign.seeds:
+    for sweep_seed in seeds:
         for entry in entries:
             derived = derive_run_seed(sweep_seed, entry.label)
             points.append(
@@ -257,10 +244,45 @@ def expand_campaign(campaign: Campaign) -> list[CampaignPoint]:
                     key=(sweep_seed,) + tuple(entry.key),
                     label=entry.label,
                     spec=entry.spec.with_seed(derived),
-                    engine=campaign.engine,
+                    engine=engine,
                 )
             )
     return points
+
+
+def expand_sweep(
+    sweep: str,
+    base: NetworkConfig,
+    axes: Mapping[str, Any],
+    seeds: Sequence[int],
+    engine: str,
+) -> list[CampaignPoint]:
+    """Expand one sweep family over ``base`` into its ordered, fully
+    seeded point list: the family's ``<sweep>_entries`` builder
+    validates and coerces ``axes`` (omitted axes = the full default
+    grid), then :func:`seed_points` seeds one grid per experiment seed.
+    """
+    import importlib
+
+    module = importlib.import_module(SWEEPS[sweep])
+    entries = getattr(module, f"{sweep}_entries")(base, axes)
+    return seed_points(entries, seeds, engine)
+
+
+def expand_campaign(campaign: Campaign) -> list[CampaignPoint]:
+    """Expand a campaign into its ordered, fully seeded point list.
+
+    Order is (seed-major, sweep-entry order) and depends only on the
+    campaign definition — never on caches, shards, or worker counts —
+    so point indices are a stable partitioning key for ``--shard``.
+    """
+    return expand_sweep(
+        campaign.sweep,
+        campaign.base_config(),
+        campaign.axes,
+        campaign.seeds,
+        campaign.engine,
+    )
 
 
 def shard_points(

@@ -69,6 +69,28 @@ def _canonical(data: Any) -> str:
     return json.dumps(data, sort_keys=True, separators=(",", ":"))
 
 
+def _write_atomic(path: Path, data: bytes) -> None:
+    """Write ``data`` to ``path`` durably and all-or-nothing: a synced
+    temp file in the same directory, then ``os.replace`` — a killed
+    writer leaves either the complete entry or none."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp_name = tempfile.mkstemp(
+        dir=path.parent, prefix=path.name, suffix=".tmp"
+    )
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp_name, path)
+    except BaseException:
+        try:
+            os.unlink(tmp_name)
+        except FileNotFoundError:
+            pass
+        raise
+
+
 def encode_entry(
     key: tuple[str, str, int],
     result: EngineResult,
@@ -215,23 +237,7 @@ class ResultStore:
     ) -> Path:
         """Persist one entry atomically (overwriting any corrupt body)."""
         path = self.path_for(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        data = encode_entry(key, result, meta)
-        fd, tmp_name = tempfile.mkstemp(
-            dir=path.parent, prefix=path.name, suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                fh.write(data)
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp_name, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except FileNotFoundError:
-                pass
-            raise
+        _write_atomic(path, encode_entry(key, result, meta))
         return path
 
     # -- enumeration ---------------------------------------------------
@@ -261,12 +267,20 @@ def merge_stores(
     present on both sides must already be byte-identical — anything else
     means two *different* computations claimed one cache key, which is a
     determinism violation worth refusing loudly
-    (:class:`MergeConflictError`).
+    (:class:`MergeConflictError`).  A source without an ``objects/``
+    directory is not a store (:class:`NotADirectoryError` naming it): a
+    mistyped shard path must not silently yield a partial merge.
     """
     dest_store = ResultStore(dest)
+    stores = [ResultStore(source) for source in sources]
+    for src_store in stores:
+        if not src_store.objects_dir.is_dir():
+            raise NotADirectoryError(
+                f"{src_store.root} is not a result store (no objects/ "
+                "directory)"
+            )
     copied = identical = 0
-    for source in sources:
-        src_store = ResultStore(source)
+    for src_store in stores:
         for src_path in src_store.entry_paths():
             rel = src_path.relative_to(src_store.objects_dir)
             dst_path = dest_store.objects_dir / rel
@@ -279,19 +293,6 @@ def merge_stores(
                     )
                 identical += 1
                 continue
-            dst_path.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp_name = tempfile.mkstemp(
-                dir=dst_path.parent, prefix=dst_path.name, suffix=".tmp"
-            )
-            try:
-                with os.fdopen(fd, "wb") as fh:
-                    fh.write(data)
-                os.replace(tmp_name, dst_path)
-            except BaseException:
-                try:
-                    os.unlink(tmp_name)
-                except FileNotFoundError:
-                    pass
-                raise
+            _write_atomic(dst_path, data)
             copied += 1
     return copied, identical

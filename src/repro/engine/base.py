@@ -50,15 +50,6 @@ class GroupStats:
     p99: float
     max: float
 
-    def percentile(self, pct: float) -> float:
-        """The pre-computed percentile closest to the query (50/90/99)."""
-        table = {50.0: self.p50, 90.0: self.p90, 99.0: self.p99}
-        if float(pct) not in table:
-            raise ValueError(
-                f"engine results carry p50/p90/p99 only, not p{pct:g}"
-            )
-        return table[float(pct)]
-
 
 @dataclass(frozen=True)
 class EngineResult:

@@ -1,9 +1,14 @@
 """Experiment harness: one module per paper table/figure.
 
-Every module exposes ``run_*`` returning plain data structures and a
-``format_*`` pretty-printer producing the same rows/series the paper
-reports.  ``python -m repro.experiments <name>`` (or the
-``repro-experiments`` console script) drives them from the command line.
+Every module exposes a ``format_*`` pretty-printer producing the same
+rows/series the paper reports.  The sweep families (fig5, fig9,
+fattree) pair it with a ``<sweep>_entries(base, axes)`` grid builder
+and run through the one sweep path — ``repro.campaign.spec.expand_sweep``
+then ``repro.campaign.service.run_points`` — interactively and from
+campaign files alike; the other modules pair it with a ``run_*``
+returning plain data structures.  ``python -m repro.experiments
+<name>`` (or the ``repro-experiments`` console script) drives them from
+the command line.
 
 Experiment index (see DESIGN.md Section 4):
 

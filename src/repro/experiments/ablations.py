@@ -24,12 +24,10 @@ from repro.analysis.littles_law import (
     stash_limited_injection_rate,
     stash_per_endpoint_flits,
 )
+from repro.campaign.service import run_points
+from repro.campaign.spec import seed_points
 from repro.engine.config import NetworkConfig, ReliabilityParams
-from repro.experiments.common import (
-    SweepEntry,
-    preset_by_name,
-    run_sweep,
-)
+from repro.experiments.common import SweepEntry, preset_by_name
 from repro.scenario import ScenarioSpec, UniformTraffic, reliability_scenario
 
 __all__ = [
@@ -51,10 +49,19 @@ def _reliability_config(
     )
 
 
+def _run_cycle(entries: list[SweepEntry], seed: int, jobs: int, progress):
+    """Seed and run ablation entries on the cycle engine — the same
+    entries → points → ``run_points`` route the figure sweeps take."""
+    return run_points(
+        seed_points(entries, (seed,), "cycle"), jobs=jobs, progress=progress
+    )
+
+
 def run_speedup_ablation(
     base: NetworkConfig | None = None,
     speedups: tuple[float, ...] = (1.0, 1.15, 1.3, 1.5),
     load: float = 0.7,
+    seed: int = 1,
     jobs: int = 1,
     progress=None,
 ) -> list[tuple[float, float, float]]:
@@ -75,11 +82,9 @@ def run_speedup_ablation(
         )
         for s in speedups
     ]
-    outcomes = run_sweep(entries, seed=base.sim.seed, jobs=jobs,
-                         progress=progress)
     return [
-        (o.key[1], o.value.accepted_load, o.value.avg_latency)
-        for o in outcomes
+        (point.key[2], r.accepted_load, r.avg_latency)
+        for point, r in _run_cycle(entries, seed, jobs, progress)
     ]
 
 
@@ -87,6 +92,7 @@ def run_placement_ablation(
     base: NetworkConfig | None = None,
     load: float = 0.7,
     capacity_scale: float = 0.5,
+    seed: int = 1,
     jobs: int = 1,
     progress=None,
 ) -> dict[str, dict[str, float]]:
@@ -107,15 +113,13 @@ def run_placement_ablation(
         )
         for placement in ("jsq", "random")
     ]
-    outcomes = run_sweep(entries, seed=base.sim.seed, jobs=jobs,
-                         progress=progress)
     return {
-        o.key[1]: {
-            "accepted": o.value.accepted_load,
-            "avg_latency": o.value.avg_latency,
-            "stash_stalls": o.value.extra("stash_stalls"),
+        point.key[2]: {
+            "accepted": r.accepted_load,
+            "avg_latency": r.avg_latency,
+            "stash_stalls": r.extra("stash_stalls"),
         }
-        for o in outcomes
+        for point, r in _run_cycle(entries, seed, jobs, progress)
     }
 
 
@@ -123,6 +127,7 @@ def run_littles_law_check(
     base: NetworkConfig | None = None,
     capacity_scale: float = 0.25,
     loads: tuple[float, ...] = (0.2, 0.7),
+    seed: int = 1,
     jobs: int = 1,
     progress=None,
 ) -> dict:
@@ -151,13 +156,10 @@ def run_littles_law_check(
         )
         for load in sorted(loads)
     ]
-    outcomes = run_sweep(entries, seed=base.sim.seed, jobs=jobs,
-                         progress=progress)
 
     best_accepted = 0.0
     rtt_estimate = None
-    for o in outcomes:
-        r = o.value
+    for _point, r in _run_cycle(entries, seed, jobs, progress):
         best_accepted = max(best_accepted, r.accepted_load)
         if r.accepted_load >= 0.9 * r.offered_load:
             rtt_estimate = 2.0 * r.avg_latency  # pre-saturation sample

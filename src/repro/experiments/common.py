@@ -1,18 +1,19 @@
-"""Shared experiment plumbing: presets, scenario sweeps, and variants.
+"""Shared experiment plumbing: presets, variant networks, sweep entries.
 
 The paper compares four networks in the reliability study (Section VI-A)
 — baseline (no stashing, unlimited outstanding packets) and stashing at
 100 % / 50 % / 25 % capacity — and three in the congestion study
 (Section VI-B): ECN baseline, ECN + stashing at 100 % and 50 %.  The
-variant tables live in :mod:`repro.scenario.spec` (re-exported here for
-compatibility) so both engines resolve them identically.
+variant tables live in :mod:`repro.scenario.spec`, so both engines
+resolve them identically.
 
 Every sweep-style experiment (fig5, fig9, fattree, ablations) builds a
 list of :class:`SweepEntry` — a stable key, the seed-derivation label,
-and an engine-agnostic :class:`~repro.scenario.ScenarioSpec` — and runs
-it through :func:`run_sweep`.  The harness owns the boilerplate the
-figure scripts used to duplicate: per-point seed derivation, RunSpec
-construction, executor fan-out, and collection by variant.  Labels are
+and an engine-agnostic :class:`~repro.scenario.ScenarioSpec`.  Entries
+become seeded :class:`~repro.campaign.spec.CampaignPoint` values in
+:func:`repro.campaign.spec.seed_points` and run through
+:func:`repro.campaign.service.run_points` — the one sweep path the
+runner and campaign files share (docs/ARCHITECTURE.md §8).  Labels are
 byte-compatible with the pre-harness scripts, so derived seeds (and
 therefore all cycle-engine output) are unchanged.
 """
@@ -20,17 +21,11 @@ therefore all cycle-engine output) are unchanged.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Iterable, Mapping
 
 from repro.engine.base import get_engine
 from repro.engine.config import NetworkConfig
-from repro.engine.parallel import (
-    RunOutcome,
-    RunSpec,
-    Timed,
-    derive_run_seed,
-    run_specs,
-)
+from repro.engine.parallel import Timed
 from repro.scenario.spec import (
     CONGESTION_VARIANTS,
     RELIABILITY_VARIANTS,
@@ -43,14 +38,12 @@ __all__ = [
     "CONGESTION_VARIANTS",
     "RELIABILITY_VARIANTS",
     "SweepEntry",
-    "collect_by_variant",
+    "check_axes",
     "congestion_network",
     "preset_by_name",
     "quicken",
     "reliability_network",
-    "run_sweep",
     "scenario_point",
-    "sweep_specs",
 ]
 
 
@@ -103,7 +96,7 @@ def congestion_network(base: NetworkConfig, variant: str, seed: int | None = Non
 
 
 # ----------------------------------------------------------------------
-# the shared sweep harness
+# sweep entries (seeded and run by repro.campaign)
 # ----------------------------------------------------------------------
 
 
@@ -127,46 +120,14 @@ def scenario_point(
     return Timed(result, result.cycles)
 
 
-def sweep_specs(
-    entries: Iterable[SweepEntry], seed: int = 1, engine: str = "cycle"
-) -> list[RunSpec]:
-    """Lower sweep entries to executor run specs with derived seeds."""
-    return [
-        RunSpec(
-            key=entry.key,
-            fn=scenario_point,
-            args=(entry.spec, engine),
-            seed=derive_run_seed(seed, entry.label),
+def check_axes(
+    sweep: str, axes: Mapping[str, Any], known: Iterable[str]
+) -> None:
+    """Reject axis names the ``sweep`` family does not take — a typo in
+    a campaign file or a caller must never silently shrink a grid."""
+    accepted = sorted(known)
+    unknown = sorted(set(axes) - set(accepted))
+    if unknown:
+        raise ValueError(
+            f"{sweep} campaigns accept axes {accepted}; unknown {unknown}"
         )
-        for entry in entries
-    ]
-
-
-def run_sweep(
-    entries: Iterable[SweepEntry],
-    seed: int = 1,
-    engine: str = "cycle",
-    jobs: int = 1,
-    progress: Callable[[int, int, RunOutcome], None] | None = None,
-) -> list[RunOutcome]:
-    """Run every entry on ``engine`` and return outcomes in entry order.
-
-    Deterministic for any ``jobs`` value on both engines: the cycle
-    engine via per-point derived seeds, the flow engine because it is a
-    pure function of the spec.
-    """
-    return run_specs(sweep_specs(entries, seed, engine), jobs=jobs,
-                     progress=progress)
-
-
-def collect_by_variant(
-    outcomes: Iterable[RunOutcome],
-    variants: Sequence[str],
-    value: Callable[[Any], Any] = lambda v: v,
-) -> dict[str, list[Any]]:
-    """Group outcome values by the leading element of their key, in
-    outcome order — the collection loop every figure script repeated."""
-    results: dict[str, list[Any]] = {v: [] for v in variants}
-    for outcome in outcomes:
-        results[outcome.key[0]].append(value(outcome.value))
-    return results

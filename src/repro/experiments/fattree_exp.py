@@ -13,35 +13,33 @@ choice as an even fluid split.
 
 from __future__ import annotations
 
+from typing import Any, Mapping
+
+from repro.analysis.campaign import Rows, rows_by_variant
 from repro.engine.config import NetworkConfig
-from repro.experiments.common import (
-    SweepEntry,
-    collect_by_variant,
-    preset_by_name,
-    run_sweep,
-)
+from repro.experiments.common import SweepEntry, check_axes
 from repro.scenario import (
     FatTreeTopologySpec,
     UniformTraffic,
     reliability_scenario,
 )
 
-__all__ = [
-    "campaign_entries",
-    "fattree_entries",
-    "format_fattree",
-    "run_fattree_reliability",
-]
+__all__ = ["fattree_entries", "format_fattree"]
 
 VARIANTS = {"baseline": None, "stash100": 1.0, "stash25": 0.25}
 
 
 def fattree_entries(
-    base: NetworkConfig,
-    loads: tuple[float, ...] = (0.3, 0.7),
-    variants: tuple[str, ...] = tuple(VARIANTS),
+    base: NetworkConfig, axes: Mapping[str, Any]
 ) -> list[SweepEntry]:
-    """One scenario per (variant, load) on the default leaf/spine tree."""
+    """One scenario per (variant, load) on the default leaf/spine tree
+    (``sweep = "fattree"`` in a campaign file; docs/CAMPAIGNS.md).
+
+    Accepted axes: ``variants``, ``loads`` (coerced to float; this
+    sweep's variant set is ``baseline``/``stash100``/``stash25``).
+    """
+    check_axes("fattree", axes, ("variants", "loads"))
+    loads = [float(x) for x in axes.get("loads", (0.3, 0.7))]
     return [
         SweepEntry(
             key=(variant, load),
@@ -53,63 +51,22 @@ def fattree_entries(
                 topology=FatTreeTopologySpec(),
             ),
         )
-        for variant in variants
+        for variant in axes.get("variants", VARIANTS)
         for load in loads
     ]
 
 
-def campaign_entries(base: NetworkConfig, axes: dict) -> list[SweepEntry]:
-    """Campaign-file binding (``sweep = "fattree"``; docs/CAMPAIGNS.md).
-
-    Accepted ``[axes]`` keys: ``variants``, ``loads`` (floats; this
-    sweep's variant set is ``baseline``/``stash100``/``stash25``).
-    """
-    known = {"variants", "loads"}
-    unknown = sorted(set(axes) - known)
-    if unknown:
-        raise ValueError(
-            f"fattree campaigns accept axes {sorted(known)}; unknown {unknown}"
-        )
-    return fattree_entries(
-        base,
-        loads=tuple(float(x) for x in axes.get("loads", (0.3, 0.7))),
-        variants=tuple(axes.get("variants", tuple(VARIANTS))),
-    )
-
-
-def run_fattree_reliability(
-    base: NetworkConfig | None = None,
-    loads: tuple[float, ...] = (0.3, 0.7),
-    variants: tuple[str, ...] = tuple(VARIANTS),
-    seed: int = 1,
-    jobs: int = 1,
-    engine: str = "cycle",
-    progress=None,
-) -> dict[str, list[tuple[float, float, float]]]:
-    """Returns variant -> [(offered, accepted, avg_latency)]."""
-    if base is None:
-        base = preset_by_name("tiny")
-    outcomes = run_sweep(
-        fattree_entries(base, loads, variants),
-        seed=seed, engine=engine, jobs=jobs, progress=progress,
-    )
-    return collect_by_variant(
-        outcomes,
-        variants,
-        value=lambda r: (r.offered_load, r.accepted_load, r.avg_latency),
-    )
-
-
-def format_fattree(results: dict[str, list[tuple[float, float, float]]]) -> str:
+def format_fattree(rows: Rows) -> str:
     lines = [
         "Fat-tree reliability stashing (leaf/spine, Section IV-A claim)",
         "",
         f"{'variant':<10} {'offered':>8} {'accepted':>9} {'avg lat':>8}",
     ]
-    for variant, series in results.items():
-        for offered, accepted, lat in series:
+    for variant, group in rows_by_variant(rows).items():
+        for _point, r in group:
             lines.append(
-                f"{variant:<10} {offered:>8.3f} {accepted:>9.3f} {lat:>8.1f}"
+                f"{variant:<10} {r.offered_load:>8.3f} "
+                f"{r.accepted_load:>9.3f} {r.avg_latency:>8.1f}"
             )
         lines.append("")
     return "\n".join(lines)

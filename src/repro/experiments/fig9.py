@@ -18,33 +18,36 @@ closed-loop fluid sources and reports trend-level tails only
 
 from __future__ import annotations
 
+from typing import Any, Mapping
+
+from repro.analysis.campaign import Rows, rows_by_variant
 from repro.engine.config import NetworkConfig
 from repro.experiments.common import (
     CONGESTION_VARIANTS,
     SweepEntry,
-    preset_by_name,
-    run_sweep,
+    check_axes,
 )
 from repro.scenario import UniformAggressorTraffic, congestion_scenario
 
-__all__ = [
-    "campaign_entries",
-    "fig9_entries",
-    "format_fig9",
-    "run_fig9",
-]
+__all__ = ["fig9_entries", "format_fig9"]
 
 DEFAULT_BURSTS_PKTS = (1, 2, 4, 8, 16, 32, 64)
 
 
 def fig9_entries(
-    base: NetworkConfig,
-    bursts_pkts: tuple[int, ...] = DEFAULT_BURSTS_PKTS,
-    variants: tuple[str, ...] = tuple(CONGESTION_VARIANTS),
-    victim_rate: float = 0.4,
+    base: NetworkConfig, axes: Mapping[str, Any]
 ) -> list[SweepEntry]:
-    """One scenario per (variant, burst size); fig9 measures without a
-    drain phase (open victim + saturating aggressors never drain)."""
+    """One scenario per (variant, burst size) (``sweep = "fig9"`` in a
+    campaign file; docs/CAMPAIGNS.md); fig9 measures without a drain
+    phase (open victim + saturating aggressors never drain).
+
+    Accepted axes: ``variants``, ``bursts_pkts``, ``victim_rate``.
+    Burst sizes are coerced to int (labels, and therefore derived
+    seeds, must not depend on how the caller spelled the number).
+    """
+    check_axes("fig9", axes, ("variants", "bursts_pkts", "victim_rate"))
+    victim_rate = float(axes.get("victim_rate", 0.4))
+    bursts = [int(x) for x in axes.get("bursts_pkts", DEFAULT_BURSTS_PKTS)]
     return [
         SweepEntry(
             key=(variant, burst),
@@ -61,76 +64,25 @@ def fig9_entries(
                 drain=False,
             ),
         )
-        for variant in variants
-        for burst in bursts_pkts
+        for variant in axes.get("variants", CONGESTION_VARIANTS)
+        for burst in bursts
     ]
 
 
-def campaign_entries(base: NetworkConfig, axes: dict) -> list[SweepEntry]:
-    """Campaign-file binding (``sweep = "fig9"``; docs/CAMPAIGNS.md).
-
-    Accepted ``[axes]`` keys: ``variants``, ``bursts_pkts``,
-    ``victim_rate``.  Burst sizes are coerced to int (labels, and
-    therefore derived seeds, must match the interactive runner's).
-    """
-    known = {"variants", "bursts_pkts", "victim_rate"}
-    unknown = sorted(set(axes) - known)
-    if unknown:
-        raise ValueError(
-            f"fig9 campaigns accept axes {sorted(known)}; unknown {unknown}"
-        )
-    return fig9_entries(
-        base,
-        bursts_pkts=tuple(
-            int(x) for x in axes.get("bursts_pkts", DEFAULT_BURSTS_PKTS)
-        ),
-        variants=tuple(axes.get("variants", tuple(CONGESTION_VARIANTS))),
-        victim_rate=float(axes.get("victim_rate", 0.4)),
-    )
-
-
-def run_fig9(
-    base: NetworkConfig | None = None,
-    bursts_pkts: tuple[int, ...] = DEFAULT_BURSTS_PKTS,
-    variants: tuple[str, ...] = tuple(CONGESTION_VARIANTS),
-    victim_rate: float = 0.4,
-    percentile: float = 90.0,
-    seed: int = 1,
-    jobs: int = 1,
-    engine: str = "cycle",
-    progress=None,
-) -> dict[str, list[tuple[int, float, float]]]:
-    """Returns variant -> [(burst_pkts, victim pXX latency, victim
-    accepted load)] — the paper notes victim throughput holds at 40 %
-    across the sweep while latency diverges."""
-    if base is None:
-        base = preset_by_name("tiny")
-    outcomes = run_sweep(
-        fig9_entries(base, bursts_pkts, variants, victim_rate),
-        seed=seed, engine=engine, jobs=jobs, progress=progress,
-    )
-    results: dict[str, list[tuple[int, float, float]]] = {
-        v: [] for v in variants
-    }
-    for outcome in outcomes:
-        variant, burst = outcome.key
-        r = outcome.value
-        results[variant].append(
-            (burst, r.group("victim").percentile(percentile), r.accepted_load)
-        )
-    return results
-
-
-def format_fig9(results: dict[str, list[tuple[int, float, float]]]) -> str:
+def format_fig9(rows: Rows) -> str:
+    """The victim's p90 latency and accepted load per (variant, burst)
+    — the paper notes victim throughput holds at 40 % across the sweep
+    while latency diverges."""
     lines = [
         "Figure 9 — victim 90th-percentile latency vs aggressor burst size",
         "",
         f"{'variant':<10} {'burst(pkts)':>12} {'p90 latency':>12} {'accepted':>9}",
     ]
-    for variant, series in results.items():
-        for burst, p90, accepted in series:
+    for variant, group in rows_by_variant(rows).items():
+        for point, r in group:
             lines.append(
-                f"{variant:<10} {burst:>12} {p90:>12.1f} {accepted:>9.3f}"
+                f"{variant:<10} {point.key[2]:>12} "
+                f"{r.group('victim').p90:>12.1f} {r.accepted_load:>9.3f}"
             )
         lines.append("")
     return "\n".join(lines)

@@ -18,9 +18,12 @@ carries exactly the formatted tables/figures.
 from __future__ import annotations
 
 import argparse
+import importlib
 import sys
 import time
 
+from repro.campaign.service import run_points
+from repro.campaign.spec import SWEEPS, expand_sweep
 from repro.experiments.common import preset_by_name, quicken
 
 __all__ = ["main"]
@@ -55,14 +58,22 @@ def _progress_printer(name: str):
     return progress
 
 
-#: experiments that accept an ``engine=`` argument; everything else
-#: probes the switch microarchitecture or transient behavior and is
-#: cycle-only (see docs/FASTPATH.md)
-ENGINE_AWARE = ("fig5", "fig9", "fattree")
+#: experiments that run on either engine — the registered sweep
+#: families; everything else probes the switch microarchitecture or
+#: transient behavior and is cycle-only (see docs/FASTPATH.md)
+ENGINE_AWARE = tuple(SWEEPS)
+
+#: the sparser grid ``--quick`` runs of each sweep family (omitted axes
+#: keep the family's defaults)
+QUICK_AXES = {
+    "fig5": {"loads": (0.2, 0.5, 0.8)},
+    "fig9": {"bursts_pkts": (1, 8, 32)},
+    "fattree": {"loads": (0.3,)},
+}
 
 
 def _run_one(name: str, base, quick: bool, jobs: int = 1,
-             engine: str = "cycle") -> str:
+             engine: str = "cycle", seed: int = 1) -> str:
     progress = _progress_printer(name)
     if engine != "cycle" and name not in ENGINE_AWARE:
         from repro.engine.base import EngineUnsupported
@@ -74,6 +85,13 @@ def _run_one(name: str, base, quick: bool, jobs: int = 1,
             f"see docs/FASTPATH.md). --engine {engine} supports "
             f"{', '.join(ENGINE_AWARE)}"
         )
+    if name in SWEEPS:
+        points = expand_sweep(
+            name, base, QUICK_AXES[name] if quick else {}, (seed,), engine
+        )
+        rows = run_points(points, jobs=jobs, progress=progress)
+        module = importlib.import_module(SWEEPS[name])
+        return getattr(module, f"format_{name}")(rows)
     if name == "table1":
         from repro.experiments.tables import format_table1, run_table1
 
@@ -82,38 +100,22 @@ def _run_one(name: str, base, quick: bool, jobs: int = 1,
         from repro.experiments.tables import format_table2, run_table2
 
         return format_table2(run_table2(jobs=jobs, progress=progress))
-    if name == "fig5":
-        from repro.experiments.fig5 import format_fig5, run_fig5
-
-        loads = (0.2, 0.5, 0.8) if quick else (0.1, 0.3, 0.5, 0.7, 0.8, 0.9)
-        return format_fig5(
-            run_fig5(base, loads=loads, jobs=jobs, progress=progress,
-                     engine=engine)
-        )
     if name == "fig6":
         from repro.experiments.fig6 import format_fig6, run_fig6
 
         apps = ("BIGFFT", "MiniFE") if quick else None
         kwargs = {"apps": apps} if apps else {}
         return format_fig6(
-            run_fig6(base, jobs=jobs, progress=progress, **kwargs)
+            run_fig6(base, seed=seed, jobs=jobs, progress=progress, **kwargs)
         )
     if name == "fig7":
         from repro.experiments.fig7 import format_fig7, run_fig7
 
-        return format_fig7(run_fig7(base))
+        return format_fig7(run_fig7(base, seed=seed))
     if name == "fig8":
         from repro.experiments.fig8 import format_fig8, run_fig8
 
-        return format_fig8(run_fig8(base))
-    if name == "fig9":
-        from repro.experiments.fig9 import format_fig9, run_fig9
-
-        bursts = (1, 8, 32) if quick else (1, 2, 4, 8, 16, 32, 64)
-        return format_fig9(
-            run_fig9(base, bursts_pkts=bursts, jobs=jobs, progress=progress,
-                     engine=engine)
-        )
+        return format_fig8(run_fig8(base, seed=seed))
     if name == "occupancy":
         from repro.experiments.occupancy import (
             format_occupancy,
@@ -121,19 +123,8 @@ def _run_one(name: str, base, quick: bool, jobs: int = 1,
         )
 
         return format_occupancy(
-            run_occupancy_census(base, jobs=jobs, progress=progress)
-        )
-    if name == "fattree":
-        from repro.experiments.fattree_exp import (
-            format_fattree,
-            run_fattree_reliability,
-        )
-
-        loads = (0.3,) if quick else (0.3, 0.7)
-        return format_fattree(
-            run_fattree_reliability(
-                base, loads=loads, jobs=jobs, progress=progress,
-                engine=engine,
+            run_occupancy_census(
+                base, seed=seed, jobs=jobs, progress=progress
             )
         )
     if name == "ablation":
@@ -145,12 +136,11 @@ def _run_one(name: str, base, quick: bool, jobs: int = 1,
         )
 
         speedups = (1.0, 1.3) if quick else (1.0, 1.15, 1.3, 1.5)
+        common = {"seed": seed, "jobs": jobs, "progress": progress}
         return format_ablations(
-            run_speedup_ablation(
-                base, speedups=speedups, jobs=jobs, progress=progress
-            ),
-            run_placement_ablation(base, jobs=jobs, progress=progress),
-            run_littles_law_check(base, jobs=jobs, progress=progress),
+            run_speedup_ablation(base, speedups=speedups, **common),
+            run_placement_ablation(base, **common),
+            run_littles_law_check(base, **common),
         )
     raise ValueError(f"unknown experiment {name!r}")
 
@@ -179,8 +169,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--seed",
         type=int,
-        default=None,
-        help="override the preset's RNG seed",
+        default=1,
+        help="experiment seed every point's RNG seed is derived from "
+        "(default: 1)",
     )
     parser.add_argument(
         "--jobs",
@@ -237,10 +228,6 @@ def main(argv: list[str] | None = None) -> int:
     base = preset_by_name(args.preset)
     if args.quick:
         base = quicken(base, 0.5)
-    if args.seed is not None:
-        from dataclasses import replace
-
-        base = base.with_(sim=replace(base.sim, seed=args.seed))
     if args.kernel is not None:
         from dataclasses import replace
 
@@ -260,7 +247,7 @@ def main(argv: list[str] | None = None) -> int:
         t0 = time.perf_counter()
         print(f"=== {name} (preset={args.preset}) ===")
         print(_run_one(name, base, args.quick, jobs=args.jobs,
-                       engine=args.engine))
+                       engine=args.engine, seed=args.seed))
         print()
         # wall-clock varies run to run; keep stdout deterministic
         print(f"--- {name} done in {time.perf_counter() - t0:.1f}s ---",

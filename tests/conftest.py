@@ -144,6 +144,18 @@ def micro_net() -> Network:
     return Network(micro_config())
 
 
+def sweep_rows(sweep, base, axes, seed=1, engine="cycle", jobs=1):
+    """Expand one sweep family over ``base`` and run it — the runner's
+    path (``expand_sweep`` → ``run_points``) at test scale; returns the
+    ``(point, result)`` rows the ``format_<sweep>`` renderers take."""
+    from repro.campaign.service import run_points
+    from repro.campaign.spec import expand_sweep
+
+    return run_points(
+        expand_sweep(sweep, base, axes, (seed,), engine), jobs=jobs
+    )
+
+
 def drain_and_check(net: Network, max_cycles: int = 60000) -> None:
     """Run the network empty and assert full message conservation."""
     assert net.drain(max_cycles), "network failed to drain"

@@ -9,6 +9,7 @@ the signal to land mid-run.
 
 from __future__ import annotations
 
+import ast
 import json
 import os
 import signal
@@ -24,6 +25,7 @@ from repro.campaign import (
     CampaignError,
     RESULT_SCHEMA_VERSION,
     ResultStore,
+    SWEEPS,
     CorruptEntryError,
     MergeConflictError,
     expand_campaign,
@@ -33,11 +35,11 @@ from repro.campaign import (
     shard_points,
 )
 from repro.campaign.cli import main as campaign_main
-from repro.campaign.service import point_meta
-from repro.campaign.spec import load_campaign
+from repro.campaign.service import point_meta, run_points
+from repro.campaign.spec import expand_sweep, load_campaign
 from repro.campaign.store import encode_entry
-from repro.experiments.common import preset_by_name, sweep_specs
-from repro.experiments.fig5 import fig5_entries
+from repro.experiments.common import preset_by_name, quicken
+from repro.experiments.runner import QUICK_AXES
 from repro.obs.counters import CounterRegistry
 
 REPO = Path(__file__).resolve().parent.parent
@@ -151,6 +153,11 @@ class TestParsing:
         campaign = tiny_flow_campaign(axes={"flavours": ["mint"]})
         with pytest.raises(ValueError, match="unknown \\['flavours'\\]"):
             expand_campaign(campaign)
+        # the interactive expansion goes through the same validation
+        with pytest.raises(ValueError, match="unknown \\['burst'\\]"):
+            expand_sweep(
+                "fig9", preset_by_name("tiny"), {"burst": [1]}, (1,), "flow"
+            )
 
     def test_malformed_toml_rejected(self):
         with pytest.raises(CampaignError, match="invalid campaign TOML"):
@@ -181,23 +188,60 @@ class TestExpansion:
         assert points[0].key == (1, "baseline", 0.3)
         assert points[4].key == (2, "baseline", 0.3)  # seed-major order
 
-    def test_matches_interactive_sweep_specs(self):
-        """A campaign point's executor spec is exactly what the
-        interactive harness builds — same seed, same spec, same fn —
-        so cached results are interchangeable."""
-        campaign = tiny_flow_campaign()
-        base = campaign.base_config()
-        entries = fig5_entries(
-            base, loads=(0.3, 0.7), variants=("baseline", "stash25")
+    @pytest.mark.parametrize("seed", [1, 7])
+    @pytest.mark.parametrize("sweep", sorted(SWEEPS))
+    def test_runner_rows_equal_campaign_rows(self, sweep, seed, tmp_path):
+        """What ``repro-experiments <sweep> --quick --engine flow --seed
+        N`` computes in memory is, point for point, what the equivalent
+        campaign (``seeds = [N]``) persists and reads back — same cache
+        keys, same results."""
+        from repro.analysis.campaign import campaign_rows
+
+        rows = run_points(
+            expand_sweep(
+                sweep, quicken(preset_by_name("tiny"), 0.5),
+                QUICK_AXES[sweep], (seed,), "flow",
+            )
         )
-        expected = sweep_specs(entries, seed=1, engine="flow")
-        points = expand_campaign(campaign)
-        assert len(points) == len(expected)
-        for point, spec in zip(points, expected):
-            run = point.run_spec()
-            assert run.seed == spec.seed
-            assert run.args == spec.args
-            assert run.fn is spec.fn
+        campaign = Campaign(
+            name="equiv", sweep=sweep, preset="tiny", engine="flow",
+            seeds=(seed,), quick=True, axes=dict(QUICK_AXES[sweep]),
+        )
+        store = ResultStore(tmp_path / "store")
+        run_campaign(campaign, store)
+        stored = campaign_rows(campaign, store)
+        assert rows and len(rows) == len(stored)
+        for (point, result), (cached, loaded) in zip(rows, stored):
+            assert point.store_key() == cached.store_key()
+            assert result == loaded
+
+    def test_one_lowering_and_one_seed_derivation(self):
+        """Within ``src/repro`` exactly one ``RunSpec(...)`` binds
+        ``scenario_point`` and engine-sweep seeds are derived at exactly
+        one ``derive_run_seed(`` call site; fig6 and occupancy run their
+        own (non-engine) point functions and are the listed exceptions.
+        """
+        package = REPO / "src" / "repro"
+        lowerings, derivations = [], []
+        for path in sorted(package.rglob("*.py")):
+            rel = path.relative_to(package).as_posix()
+            for node in ast.walk(ast.parse(path.read_text())):
+                if not isinstance(node, ast.Call):
+                    continue
+                callee = getattr(node.func, "id", None)
+                if callee == "derive_run_seed":
+                    derivations.append(rel)
+                elif callee == "RunSpec" and any(
+                    isinstance(sub, ast.Name) and sub.id == "scenario_point"
+                    for sub in ast.walk(node)
+                ):
+                    lowerings.append(rel)
+        assert lowerings == ["campaign/spec.py"]
+        assert derivations == [
+            "campaign/spec.py",
+            "experiments/fig6.py",
+            "experiments/occupancy.py",
+        ]
 
     def test_loads_coerced_to_float(self):
         """TOML `1` and `1.0` must label (and therefore seed and hash)
@@ -472,6 +516,30 @@ class TestReportAndCli:
         merged = str(tmp_path / "merged")
         assert campaign_main(["merge", merged, store, store]) == 0
         assert store_bytes(Path(merged)) == store_bytes(Path(store))
+
+    def test_cli_merge_rejects_a_source_that_is_not_a_store(
+        self, tmp_path, capsys
+    ):
+        """A mistyped shard path must fail the merge (naming the path),
+        not yield a silently partial store."""
+        campaign_file = str(self._write_campaign(tmp_path))
+        store = str(tmp_path / "store")
+        assert campaign_main(["run", campaign_file, "--store", store]) == 0
+        capsys.readouterr()
+
+        typo = str(tmp_path / "stroe")
+        merged = tmp_path / "merged"
+        assert campaign_main(["merge", str(merged), store, typo]) == 1
+        assert typo in capsys.readouterr().err
+        assert not merged.exists()
+
+    @pytest.mark.parametrize("batch", ["0", "-3"])
+    def test_cli_rejects_batch_below_one(self, tmp_path, batch):
+        campaign_file = str(self._write_campaign(tmp_path))
+        with pytest.raises(SystemExit):
+            campaign_main(
+                ["run", campaign_file, "--store", "s", "--batch", batch]
+            )
 
     def test_cli_rejects_bad_shard(self, tmp_path):
         campaign_file = str(self._write_campaign(tmp_path))

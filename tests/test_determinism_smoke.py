@@ -17,8 +17,8 @@ from dataclasses import replace
 import pytest
 
 from repro.engine.config import SimParams
-from repro.experiments.fig5 import format_fig5, run_fig5
-from tests.conftest import micro_config
+from repro.experiments.fig5 import format_fig5
+from tests.conftest import micro_config, sweep_rows
 
 
 def _tiny_base(seed: int):
@@ -34,10 +34,12 @@ def _render_fig5_point(seed: int) -> str:
     base = _tiny_base(seed)
     buffer = io.StringIO()
     with redirect_stdout(buffer):
-        results = run_fig5(
-            base, loads=(0.3,), variants=("baseline", "stash100"), seed=seed
+        rows = sweep_rows(
+            "fig5", base,
+            {"loads": (0.3,), "variants": ("baseline", "stash100")},
+            seed=seed,
         )
-        print(format_fig5(results))
+        print(format_fig5(rows))
     return buffer.getvalue()
 
 
@@ -75,6 +77,8 @@ def test_fig5_point_runs_are_timed_independently():
     alt = micro_config(sim=replace(alt.sim, measure_cycles=900))
     buffer = io.StringIO()
     with redirect_stdout(buffer):
-        print(format_fig5(run_fig5(alt, loads=(0.3,),
-                                   variants=("baseline",), seed=3)))
+        print(format_fig5(sweep_rows(
+            "fig5", alt, {"loads": (0.3,), "variants": ("baseline",)},
+            seed=3,
+        )))
     assert buffer.getvalue() != base_out

@@ -16,7 +16,7 @@ from __future__ import annotations
 from pathlib import Path
 
 from repro.engine.config import SimParams
-from tests.conftest import micro_config
+from tests.conftest import micro_config, sweep_rows
 
 GOLDENS = Path(__file__).parent / "goldens"
 
@@ -42,13 +42,14 @@ def _assert_matches(name: str, rendered: str) -> None:
 
 
 def test_fig5_byte_identical_to_pre_scenario_capture():
-    from repro.experiments.fig5 import format_fig5, run_fig5
+    from repro.experiments.fig5 import format_fig5
 
     out = format_fig5(
-        run_fig5(
+        sweep_rows(
+            "fig5",
             _golden_config(),
-            loads=(0.2, 0.8),
-            variants=("baseline", "stash100", "stash25"),
+            {"loads": (0.2, 0.8),
+             "variants": ("baseline", "stash100", "stash25")},
             seed=3,
         )
     )
@@ -56,13 +57,13 @@ def test_fig5_byte_identical_to_pre_scenario_capture():
 
 
 def test_fig9_byte_identical_to_pre_scenario_capture():
-    from repro.experiments.fig9 import format_fig9, run_fig9
+    from repro.experiments.fig9 import format_fig9
 
     out = format_fig9(
-        run_fig9(
+        sweep_rows(
+            "fig9",
             _golden_config(),
-            bursts_pkts=(1, 4),
-            variants=("baseline", "stash100"),
+            {"bursts_pkts": (1, 4), "variants": ("baseline", "stash100")},
             seed=3,
         )
     )
@@ -70,16 +71,13 @@ def test_fig9_byte_identical_to_pre_scenario_capture():
 
 
 def test_fattree_byte_identical_to_pre_scenario_capture():
-    from repro.experiments.fattree_exp import (
-        format_fattree,
-        run_fattree_reliability,
-    )
+    from repro.experiments.fattree_exp import format_fattree
 
     out = format_fattree(
-        run_fattree_reliability(
+        sweep_rows(
+            "fattree",
             _golden_config(),
-            loads=(0.3,),
-            variants=("baseline", "stash100"),
+            {"loads": (0.3,), "variants": ("baseline", "stash100")},
             seed=3,
         )
     )

@@ -18,7 +18,7 @@ from repro.experiments.common import (
     quicken,
     reliability_network,
 )
-from tests.conftest import micro_config
+from tests.conftest import micro_config, sweep_rows
 
 
 def fast_base():
@@ -65,17 +65,19 @@ class TestCommon:
 
 class TestFig5:
     def test_sweep_shape(self):
-        from repro.experiments.fig5 import format_fig5, run_fig5
+        from repro.experiments.fig5 import format_fig5
 
-        res = run_fig5(fast_base(), loads=(0.2,), variants=("baseline",
-                                                            "stash100"))
-        assert set(res) == {"baseline", "stash100"}
-        for points in res.values():
-            assert len(points) == 1
-            p = points[0]
-            assert 0 < p.accepted <= 1.0
-            assert p.avg_latency > 0
-        table = format_fig5(res)
+        rows = sweep_rows(
+            "fig5", fast_base(),
+            {"loads": (0.2,), "variants": ("baseline", "stash100")},
+        )
+        assert [point.key for point, _ in rows] == [
+            (1, "baseline", 0.2), (1, "stash100", 0.2)
+        ]
+        for _point, r in rows:
+            assert 0 < r.accepted_load <= 1.0
+            assert r.avg_latency > 0
+        table = format_fig5(rows)
         assert "baseline" in table and "stash100" in table
 
 
@@ -120,16 +122,18 @@ class TestFig8:
 
 class TestFig9:
     def test_burst_sweep(self):
-        from repro.experiments.fig9 import format_fig9, run_fig9
+        from repro.experiments.fig9 import format_fig9
 
-        res = run_fig9(
-            fast_base(), bursts_pkts=(1, 4), variants=("baseline",),
-            victim_rate=0.25,
+        rows = sweep_rows(
+            "fig9", fast_base(),
+            {"bursts_pkts": (1, 4), "variants": ("baseline",),
+             "victim_rate": 0.25},
         )
-        series = res["baseline"]
-        assert [b for b, _, _ in series] == [1, 4]
-        assert all(p90 > 0 for _, p90, _ in series)
-        assert "baseline" in format_fig9(res)
+        assert [point.key for point, _ in rows] == [
+            (1, "baseline", 1), (1, "baseline", 4)
+        ]
+        assert all(r.group("victim").p90 > 0 for _, r in rows)
+        assert "baseline" in format_fig9(rows)
 
 
 class TestTables:
@@ -231,19 +235,17 @@ class TestOccupancy:
 
 class TestFatTreeExperiment:
     def test_variants_run(self):
-        from repro.experiments.fattree_exp import (
-            format_fattree,
-            run_fattree_reliability,
-        )
+        from repro.experiments.fattree_exp import format_fattree
 
-        res = run_fattree_reliability(
-            fast_base(), loads=(0.25,), variants=("baseline", "stash100")
+        rows = sweep_rows(
+            "fattree", fast_base(),
+            {"loads": (0.25,), "variants": ("baseline", "stash100")},
         )
-        for series in res.values():
-            offered, accepted, lat = series[0]
-            assert accepted == pytest.approx(offered, rel=0.15)
-            assert lat > 0
-        assert "stash100" in format_fattree(res)
+        assert len(rows) == 2
+        for _point, r in rows:
+            assert r.accepted_load == pytest.approx(r.offered_load, rel=0.15)
+            assert r.avg_latency > 0
+        assert "stash100" in format_fattree(rows)
 
 
 class TestPacedRetransmission:
@@ -304,6 +306,39 @@ class TestRunnerCli:
 
         with pytest.raises(SystemExit):
             main(["fig99"])
+
+    def test_seed_flag_is_the_experiment_seed_of_every_point(
+        self, monkeypatch, capsys
+    ):
+        """`--seed N` must reach the sweep: every point's seed is
+        `derive_run_seed(N, label)`, and the points are exactly those of
+        a `seeds = [N]` campaign (the flag used to rewrite a config slot
+        that every sweep then overrode from its own `seed=1` default)."""
+        from repro.campaign import Campaign, expand_campaign
+        from repro.engine.parallel import derive_run_seed
+        from repro.experiments import runner
+
+        ran = []
+        run_points = runner.run_points
+
+        def spy(points, **kwargs):
+            ran.extend(points)
+            return run_points(points, **kwargs)
+
+        monkeypatch.setattr(runner, "run_points", spy)
+        argv = ["fattree", "--engine", "flow", "--quick", "--seed", "7"]
+        assert runner.main(argv) == 0
+        assert "Fat-tree reliability stashing" in capsys.readouterr().out
+        assert [p.derived_seed for p in ran] == [
+            derive_run_seed(7, p.label) for p in ran
+        ]
+        campaign = Campaign(
+            name="seed7", sweep="fattree", engine="flow", seeds=(7,),
+            quick=True, axes={"loads": [0.3]},
+        )
+        assert [p.store_key() for p in ran] == [
+            p.store_key() for p in expand_campaign(campaign)
+        ]
 
     def test_flow_rejection_names_the_limitation(self, capsys):
         """`--engine flow` on a transient experiment must explain *why*

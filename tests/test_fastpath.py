@@ -150,20 +150,15 @@ def test_flow_rejects_unknown_traffic():
 
 
 def test_flow_fig5_jobs_byte_identical():
-    """run_fig5 through the fastpath must produce identical results for
-    serial and 4-way-parallel execution (the determinism contract CI
-    enforces end-to-end on stdout)."""
-    from repro.experiments.fig5 import run_fig5
+    """A fig5 sweep through the fastpath must produce identical results
+    for serial and 4-way-parallel execution (the determinism contract
+    CI enforces end-to-end on stdout)."""
+    from tests.conftest import sweep_rows
 
     cfg = micro_config()
-    kwargs = dict(
-        loads=(0.2, 0.8),
-        variants=("baseline", "stash25"),
-        seed=3,
-        engine="flow",
-    )
-    serial = run_fig5(cfg, jobs=1, **kwargs)
-    fanned = run_fig5(cfg, jobs=4, **kwargs)
+    axes = {"loads": (0.2, 0.8), "variants": ("baseline", "stash25")}
+    serial = sweep_rows("fig5", cfg, axes, seed=3, engine="flow", jobs=1)
+    fanned = sweep_rows("fig5", cfg, axes, seed=3, engine="flow", jobs=4)
     assert serial == fanned
 
 

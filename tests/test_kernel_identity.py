@@ -18,10 +18,10 @@ import numpy as np
 import pytest
 
 from repro.engine.config import SimParams
-from repro.experiments.fig5 import format_fig5, run_fig5
+from repro.experiments.fig5 import format_fig5
 from repro.experiments.fig7 import run_fig7
 from repro.experiments.common import reliability_network
-from tests.conftest import micro_config
+from tests.conftest import micro_config, sweep_rows
 
 
 def _base(kernel: str, seed: int = 3):
@@ -35,13 +35,14 @@ def _render_fig5(kernel: str) -> str:
     """One quick fig5 sweep, captured exactly as the runner prints it."""
     buffer = io.StringIO()
     with redirect_stdout(buffer):
-        results = run_fig5(
+        rows = sweep_rows(
+            "fig5",
             _base(kernel),
-            loads=(0.2, 0.8),
-            variants=("baseline", "stash100", "stash25"),
+            {"loads": (0.2, 0.8),
+             "variants": ("baseline", "stash100", "stash25")},
             seed=3,
         )
-        print(format_fig5(results))
+        print(format_fig5(rows))
     return buffer.getvalue()
 
 

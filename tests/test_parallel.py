@@ -21,10 +21,10 @@ from repro.engine.parallel import (
     run_specs,
 )
 from repro.engine.rng import DeterministicRng
-from repro.experiments.common import sweep_specs
-from repro.experiments.fig5 import fig5_entries, format_fig5, run_fig5
+from repro.campaign.spec import expand_sweep
+from repro.experiments.fig5 import format_fig5
 from repro.switch.damq import VcSpaceAccounting
-from tests.conftest import micro_config
+from tests.conftest import micro_config, sweep_rows
 
 
 # -- module-level point functions (picklable by the pool) ----------------
@@ -186,11 +186,9 @@ def _tiny_base():
 def test_fig5_jobs_invariant():
     """A scaled-down fig5 sweep is byte-identical at jobs=1 and jobs=4."""
     base = _tiny_base()
-    kwargs = dict(
-        loads=(0.3,), variants=("baseline", "stash100"), seed=9
-    )
-    serial = run_fig5(base, jobs=1, **kwargs)
-    pooled = run_fig5(base, jobs=4, **kwargs)
+    axes = {"loads": (0.3,), "variants": ("baseline", "stash100")}
+    serial = sweep_rows("fig5", base, axes, seed=9, jobs=1)
+    pooled = sweep_rows("fig5", base, axes, seed=9, jobs=4)
     assert serial == pooled
     assert format_fig5(serial) == format_fig5(pooled)
 
@@ -198,14 +196,17 @@ def test_fig5_jobs_invariant():
 def test_fig5_spec_seeds_ignore_sweep_shape():
     """A point's seed depends on its label, not its position in the sweep."""
     base = _tiny_base()
-    wide = {
-        s.key: s.seed
-        for s in sweep_specs(fig5_entries(base, loads=(0.2, 0.5, 0.8)))
-    }
-    narrow = {
-        s.key: s.seed for s in sweep_specs(fig5_entries(base, loads=(0.5,)))
-    }
-    assert narrow[("baseline", 0.5)] == wide[("baseline", 0.5)]
+    wide, narrow = (
+        {
+            p.key: p.derived_seed
+            for p in expand_sweep("fig5", base, {"loads": loads}, (1,), "cycle")
+        }
+        for loads in ((0.2, 0.5, 0.8), (0.5,))
+    )
+    assert narrow[(1, "baseline", 0.5)] == wide[(1, "baseline", 0.5)]
+    assert narrow[(1, "baseline", 0.5)] == derive_run_seed(
+        1, "fig5:baseline:0.5"
+    )
 
 
 # -- VcSpaceAccounting fuzz ----------------------------------------------
