@@ -7,12 +7,14 @@ This is the 60-second tour of the public API:
 2. build a `Network` (baseline tiled switches, PAR routing, ACKs on);
 3. attach a traffic source;
 4. run the standard warmup / measure / drain phases;
-5. read latency and throughput off the `RunResult`.
+5. read latency and throughput off the `EngineResult` (the stats
+   schema both engines share), and any counter off `harvest(net)`.
 
 Run:  python examples/quickstart.py
 """
 
 from repro import Network, tiny_preset
+from repro.obs import harvest
 
 
 def main() -> None:
@@ -33,6 +35,9 @@ def main() -> None:
     print(f"avg latency    : {result.avg_latency:.1f} cycles")
     print(f"p99 latency    : {result.p99_latency:.1f} cycles")
     print(f"packets sampled: {result.packets_measured}")
+    counters = harvest(net)
+    print(f"flit hops      : {counters['switch.input.flits_received']}")
+    print(f"credit stalls  : {counters['switch.output.credit_stalls']}")
 
 
 if __name__ == "__main__":

@@ -34,7 +34,7 @@ from repro.engine.config import (
     small_preset,
     tiny_preset,
 )
-from repro.network import Network, RunResult
+from repro.network import Network
 from repro.switch.flit import Message, Packet, PacketKind
 from repro.switch.stashing_switch import StashingSwitch
 from repro.switch.tiled_switch import TiledSwitch
@@ -56,7 +56,6 @@ __all__ = [
     "Packet",
     "PacketKind",
     "ReliabilityParams",
-    "RunResult",
     "SimParams",
     "SingleSwitchTopology",
     "StashParams",

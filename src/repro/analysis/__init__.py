@@ -21,19 +21,16 @@ from repro.analysis.obsview import (
     trace_lines,
     write_trace,
 )
-from repro.analysis.report import format_report, network_report
 
 __all__ = [
     "LinkClassRow",
     "buffer_underutilization",
     "dragonfly_link_table",
     "format_counters",
-    "format_report",
     "line_chart",
     "load_trace",
     "merged_counters",
     "multi_series_chart",
-    "network_report",
     "normalized_runtimes",
     "paper_table1",
     "saturation_load",

@@ -31,13 +31,14 @@ __all__ = [
 
 def merged_counters(captures: Sequence[ObsCapture]) -> dict:
     """Merge every capture's counter snapshot into one (see
-    :func:`repro.obs.merge_snapshots`: counters sum, ``peak_`` gauges
-    max, histogram buckets sum)."""
+    :func:`repro.obs.merge_snapshots`: counters sum, ``peak_`` values
+    max)."""
     return merge_snapshots([cap.counters for cap in captures])
 
 
 def format_counters(counters: dict) -> str:
-    """Render a merged counter snapshot as aligned, name-sorted lines.
+    """Render a counter snapshot (:func:`repro.obs.harvest`, or several
+    merged) as aligned, name-sorted lines.
 
     >>> print(format_counters({"engine.sim.cycles": 12, "a.b.peak_x": 3}))
     a.b.peak_x           3
@@ -47,14 +48,7 @@ def format_counters(counters: dict) -> str:
         return "(no counters)"
     names = sorted(counters)
     name_w = max(len(n) for n in names)
-    rows = []
-    for name in names:
-        value = counters[name]
-        if isinstance(value, dict):  # histogram: {"edges": ..., "buckets": ...}
-            rows.append(f"{name:<{name_w}}  {json.dumps(value, sort_keys=True)}")
-        else:
-            rows.append(f"{name:<{name_w}}  {value:>{3}}")
-    return "\n".join(rows)
+    return "\n".join(f"{name:<{name_w}}  {counters[name]:>3}" for name in names)
 
 
 def trace_lines(captures: Sequence[ObsCapture]) -> list[str]:

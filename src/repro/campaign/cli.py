@@ -49,8 +49,6 @@ def _load(path: str) -> Campaign:
         return load_campaign(path)
     except FileNotFoundError:
         raise SystemExit(f"campaign file not found: {path}")
-    except CampaignError as exc:
-        raise SystemExit(f"invalid campaign {path}: {exc}")
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -205,7 +203,10 @@ def main(argv: list[str] | None = None) -> int:
     batch = getattr(args, "batch", None)
     if batch is not None and batch < 1:
         parser.error("--batch must be >= 1")
-    return args.func(args)
+    try:
+        return args.func(args)
+    except CampaignError as exc:  # from parsing or from expansion
+        raise SystemExit(f"invalid campaign {args.campaign}: {exc}")
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

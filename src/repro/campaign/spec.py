@@ -46,9 +46,11 @@ import tomllib
 from dataclasses import dataclass, field, replace
 from typing import Any, Mapping, Sequence
 
+from repro.engine.base import ENGINE_NAMES
 from repro.engine.config import NetworkConfig
 from repro.engine.parallel import RunSpec, derive_run_seed
 from repro.experiments.common import (
+    PRESETS,
     SweepEntry,
     preset_by_name,
     quicken,
@@ -60,7 +62,6 @@ __all__ = [
     "Campaign",
     "CampaignError",
     "CampaignPoint",
-    "PRESETS",
     "RESULT_SCHEMA_VERSION",
     "SWEEPS",
     "expand_campaign",
@@ -86,9 +87,6 @@ SWEEPS: dict[str, str] = {
     "fig9": "repro.experiments.fig9",
     "fattree": "repro.experiments.fattree_exp",
 }
-
-PRESETS = ("tiny", "small", "paper")
-ENGINES = ("cycle", "flow")
 
 #: SimParams fields a campaign's [windows] section may override
 WINDOW_FIELDS = (
@@ -131,11 +129,11 @@ class Campaign:
             )
         if self.preset not in PRESETS:
             raise CampaignError(
-                f"unknown preset {self.preset!r}; choose from {PRESETS}"
+                f"unknown preset {self.preset!r}; choose from {tuple(PRESETS)}"
             )
-        if self.engine not in ENGINES:
+        if self.engine not in ENGINE_NAMES:
             raise CampaignError(
-                f"unknown engine {self.engine!r}; choose from {ENGINES}"
+                f"unknown engine {self.engine!r}; choose from {ENGINE_NAMES}"
             )
         if not self.seeds or not all(
             isinstance(s, int) and not isinstance(s, bool) for s in self.seeds
@@ -276,13 +274,18 @@ def expand_campaign(campaign: Campaign) -> list[CampaignPoint]:
     campaign definition — never on caches, shards, or worker counts —
     so point indices are a stable partitioning key for ``--shard``.
     """
-    return expand_sweep(
-        campaign.sweep,
-        campaign.base_config(),
-        campaign.axes,
-        campaign.seeds,
-        campaign.engine,
-    )
+    try:
+        return expand_sweep(
+            campaign.sweep,
+            campaign.base_config(),
+            campaign.axes,
+            campaign.seeds,
+            campaign.engine,
+        )
+    except ValueError as exc:
+        # a bad axis name, variant or window value is only seen here;
+        # it is still the campaign file that is wrong
+        raise CampaignError(str(exc)) from exc
 
 
 def shard_points(

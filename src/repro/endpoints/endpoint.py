@@ -270,7 +270,6 @@ class Endpoint:
                         cycle, "ecn.window_cut", -1, self.node, -1, -1,
                         new_window,
                     )
-            net.on_ack_delivered(pkt, cycle)
             return
 
         corrupted = (

@@ -29,12 +29,7 @@ from repro.engine.parallel import (
 )
 from repro.engine.rng import DeterministicRng
 from repro.engine.simulator import Component, Simulator
-from repro.engine.stats import (
-    Histogram,
-    LatencyStats,
-    RateMeter,
-    TimeSeries,
-)
+from repro.engine.stats import LatencyStats, RateMeter, TimeSeries
 
 __all__ = [
     "Channel",
@@ -42,7 +37,6 @@ __all__ = [
     "CreditChannel",
     "DeterministicRng",
     "EcnParams",
-    "Histogram",
     "LatencyStats",
     "NetworkConfig",
     "ObsParams",

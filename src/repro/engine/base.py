@@ -4,10 +4,10 @@ An :class:`Engine` consumes a :class:`repro.scenario.ScenarioSpec` and
 produces an :class:`EngineResult` — the shared stats schema both speeds
 emit.  Two implementations exist:
 
-* :class:`CycleEngine` (``"cycle"``) adapts the existing cycle-accurate
-  :class:`repro.network.Network` + :class:`repro.engine.simulator.
-  Simulator`; it is the reference and the only engine that models the
-  switch microarchitecture.
+* :class:`CycleEngine` (``"cycle"``) runs the cycle-accurate
+  :class:`repro.network.Network`, whose ``result()`` is already an
+  :class:`EngineResult`; it is the reference and the only engine that
+  models the switch microarchitecture.
 * :class:`repro.engine.fastpath.FlowEngine` (``"flow"``) solves a
   fluid max-min-fair bandwidth allocation over the same topology graph
   — orders of magnitude faster, validated against the cycle engine by
@@ -23,10 +23,12 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Protocol
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.engine.stats import LatencyStats
     from repro.scenario.spec import ScenarioSpec
 
 __all__ = [
     "CycleEngine",
+    "ENGINE_NAMES",
     "Engine",
     "EngineResult",
     "EngineUnsupported",
@@ -49,6 +51,18 @@ class GroupStats:
     p90: float
     p99: float
     max: float
+
+    @classmethod
+    def from_latency(cls, stats: "LatencyStats") -> "GroupStats":
+        """Summarise a latency collector into the shared schema."""
+        return cls(
+            count=stats.count,
+            mean=stats.mean,
+            p50=stats.percentile(50),
+            p90=stats.percentile(90),
+            p99=stats.percentile(99),
+            max=stats.max,
+        )
 
 
 @dataclass(frozen=True)
@@ -105,18 +119,6 @@ class Engine(Protocol):
         ...
 
 
-def _group_stats(stats) -> GroupStats:
-    """Summarise a LatencyStats collector into the shared schema."""
-    return GroupStats(
-        count=stats.count,
-        mean=stats.mean,
-        p50=stats.percentile(50),
-        p90=stats.percentile(90),
-        p99=stats.percentile(99),
-        max=stats.max,
-    )
-
-
 class CycleEngine:
     """Adapter: the cycle-accurate simulator behind the Engine protocol.
 
@@ -131,30 +133,11 @@ class CycleEngine:
         """Simulate the scenario flit-by-flit and aggregate its stats."""
         from repro.scenario.spec import build_network
 
-        net = build_network(spec)
-        res = net.run_standard(drain=spec.drain)
-        groups = tuple(
-            (name, _group_stats(net.group_latency[name]))
-            for name in sorted(net.group_latency)
-        )
-        stalls = sum(
-            ip.stall_no_stash for sw in net.switches for ip in sw.in_ports
-        )
-        return EngineResult(
-            engine=self.name,
-            offered_load=res.offered_load,
-            accepted_load=res.accepted_load,
-            avg_latency=res.avg_latency,
-            p90_latency=res.p90_latency,
-            p99_latency=res.p99_latency,
-            max_latency=res.max_latency,
-            packets_measured=res.packets_measured,
-            cycles=net.sim.cycle,
-            groups=groups,
-            extras=(("stash_stalls", float(stalls)),),
-        )
+        return build_network(spec).run_standard(drain=spec.drain)
 
 
+#: the one list of engine names (``--engine`` choices, a campaign
+#: file's ``engine``)
 ENGINE_NAMES = ("cycle", "flow")
 
 

@@ -1,4 +1,4 @@
-"""Statistics collection: latency samples, rates, time series, histograms.
+"""Statistics collection: latency samples, rates, time series.
 
 These collectors replace the paper's BookSim statistics output plus the
 MATLAB post-processing scripts.  All of them are measurement-window aware:
@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-__all__ = ["Histogram", "LatencyStats", "RateMeter", "TimeSeries"]
+__all__ = ["LatencyStats", "RateMeter", "TimeSeries"]
 
 
 class LatencyStats:
@@ -124,8 +124,7 @@ class RateMeter:
         """Events per cycle over the closed window.
 
         NaN means "never measured" (no window was opened and closed);
-        consumers must render it explicitly (see
-        :func:`repro.analysis.report.fmt_float`).  A degenerate
+        consumers must render it explicitly.  A degenerate
         zero-span window is 0.0 when empty and an error when events were
         somehow recorded into it — a rate over no time is meaningless.
         """
@@ -180,48 +179,3 @@ class TimeSeries:
             times.append((b + 0.5) * self.period)
             values.append(prev)
         return np.asarray(times), np.asarray(values)
-
-
-class Histogram:
-    """Fixed-bin histogram used for buffer-occupancy distributions."""
-
-    def __init__(self, num_bins: int, lo: float, hi: float) -> None:
-        if num_bins < 1 or hi <= lo:
-            raise ValueError("invalid histogram bounds")
-        self.lo = lo
-        self.hi = hi
-        self.counts = np.zeros(num_bins, dtype=np.int64)
-        self.nan_samples = 0
-
-    def record(self, value: float) -> None:
-        """Count ``value`` in its bin (clamped to the bounds).
-
-        NaN has no bin: ``int(nan)`` would raise mid-run, so NaN samples
-        are dropped and tallied in :attr:`nan_samples` instead.
-        Infinities clamp to the edge bins like any other out-of-range
-        value (the clamp runs before the int conversion, which would
-        otherwise overflow on them).
-        """
-        if math.isnan(value):
-            self.nan_samples += 1
-            return
-        frac = (value - self.lo) / (self.hi - self.lo)
-        if frac < 0.0:
-            idx = 0
-        elif frac >= 1.0:
-            idx = len(self.counts) - 1
-        else:
-            idx = int(frac * len(self.counts))
-        self.counts[idx] += 1
-
-    @property
-    def total(self) -> int:
-        """Total samples recorded across all bins."""
-        return int(self.counts.sum())
-
-    def normalized(self) -> np.ndarray:
-        """Bin counts as fractions of the total (zeros when empty)."""
-        total = self.total
-        if total == 0:
-            return np.zeros_like(self.counts, dtype=float)
-        return self.counts / total

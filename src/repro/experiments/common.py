@@ -24,7 +24,12 @@ from dataclasses import dataclass, replace
 from typing import Any, Iterable, Mapping
 
 from repro.engine.base import get_engine
-from repro.engine.config import NetworkConfig
+from repro.engine.config import (
+    NetworkConfig,
+    paper_preset,
+    small_preset,
+    tiny_preset,
+)
 from repro.engine.parallel import Timed
 from repro.scenario.spec import (
     CONGESTION_VARIANTS,
@@ -36,6 +41,7 @@ from repro.scenario.spec import (
 
 __all__ = [
     "CONGESTION_VARIANTS",
+    "PRESETS",
     "RELIABILITY_VARIANTS",
     "SweepEntry",
     "check_axes",
@@ -47,13 +53,15 @@ __all__ = [
 ]
 
 
-def preset_by_name(name: str) -> NetworkConfig:
-    from repro.engine.config import paper_preset, small_preset, tiny_preset
+#: preset name -> builder: the one list of network scales (the runner's
+#: ``--preset`` choices and a campaign file's ``preset`` both read it)
+PRESETS = {"tiny": tiny_preset, "small": small_preset, "paper": paper_preset}
 
-    presets = {"tiny": tiny_preset, "small": small_preset, "paper": paper_preset}
-    if name not in presets:
-        raise ValueError(f"unknown preset {name!r}; choose from {sorted(presets)}")
-    return presets[name]()
+
+def preset_by_name(name: str) -> NetworkConfig:
+    if name not in PRESETS:
+        raise ValueError(f"unknown preset {name!r}; choose from {tuple(PRESETS)}")
+    return PRESETS[name]()
 
 
 def quicken(config: NetworkConfig, factor: float) -> NetworkConfig:
@@ -121,13 +129,23 @@ def scenario_point(
 
 
 def check_axes(
-    sweep: str, axes: Mapping[str, Any], known: Iterable[str]
+    sweep: str,
+    axes: Mapping[str, Any],
+    known: Iterable[str],
+    scalars: Iterable[str] = (),
 ) -> None:
     """Reject axis names the ``sweep`` family does not take — a typo in
-    a campaign file or a caller must never silently shrink a grid."""
+    a campaign file or a caller must never silently shrink a grid — and
+    grid axes (every known axis not in ``scalars``) that are not lists:
+    a string would otherwise be swept character by character."""
     accepted = sorted(known)
     unknown = sorted(set(axes) - set(accepted))
     if unknown:
         raise ValueError(
             f"{sweep} campaigns accept axes {accepted}; unknown {unknown}"
         )
+    for name in sorted(set(axes) - set(scalars)):
+        if not isinstance(axes[name], (list, tuple)):
+            raise ValueError(
+                f"{sweep} axis {name!r} must be an array, not {axes[name]!r}"
+            )

@@ -40,7 +40,9 @@ def fig5_entries(
     coerced to float so a campaign file's ``1`` and a caller's ``1.0``
     produce identical labels (and therefore identical derived seeds).
     """
-    check_axes("fig5", axes, ("variants", "loads", "msg_flits"))
+    check_axes(
+        "fig5", axes, ("variants", "loads", "msg_flits"), scalars=("msg_flits",)
+    )
     msg_flits = axes.get("msg_flits")
     loads = [float(x) for x in axes.get("loads", DEFAULT_LOADS)]
     return [

@@ -45,7 +45,10 @@ def fig9_entries(
     Burst sizes are coerced to int (labels, and therefore derived
     seeds, must not depend on how the caller spelled the number).
     """
-    check_axes("fig9", axes, ("variants", "bursts_pkts", "victim_rate"))
+    check_axes(
+        "fig9", axes, ("variants", "bursts_pkts", "victim_rate"),
+        scalars=("victim_rate",),
+    )
     victim_rate = float(axes.get("victim_rate", 0.4))
     bursts = [int(x) for x in axes.get("bursts_pkts", DEFAULT_BURSTS_PKTS)]
     return [

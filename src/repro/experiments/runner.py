@@ -24,7 +24,8 @@ import time
 
 from repro.campaign.service import run_points
 from repro.campaign.spec import SWEEPS, expand_sweep
-from repro.experiments.common import preset_by_name, quicken
+from repro.engine.base import ENGINE_NAMES
+from repro.experiments.common import PRESETS, preset_by_name, quicken
 
 __all__ = ["main"]
 
@@ -158,7 +159,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--preset",
         default="tiny",
-        choices=("tiny", "small", "paper"),
+        choices=tuple(PRESETS),
         help="network scale (default: tiny; 'paper' is very slow in Python)",
     )
     parser.add_argument(
@@ -184,7 +185,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--engine",
         default="cycle",
-        choices=("cycle", "flow"),
+        choices=ENGINE_NAMES,
         help="simulation engine: 'cycle' (cycle-accurate, default) or "
         "'flow' (flow-level fastpath; fig5/fig9/fattree only)",
     )

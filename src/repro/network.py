@@ -18,17 +18,17 @@ measurement phases (warmup / measure / drain), and aggregates statistics.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Iterable
 
 from repro.endpoints.endpoint import Endpoint
+from repro.engine.base import EngineResult, GroupStats
 from repro.engine.channel import Channel, CreditChannel
 from repro.engine.config import NetworkConfig
 from repro.engine.rng import DeterministicRng
 from repro.engine.simulator import Simulator
 from repro.engine.stats import LatencyStats, RateMeter
 from repro.obs.events import EventTrace
-from repro.obs.observer import NetworkObserver
+from repro.obs.observer import NetworkObserver, harvest
 from repro.routing import make_dragonfly_router
 from repro.routing.routing import Router
 from repro.routing.single_switch_routing import SingleSwitchRouter
@@ -43,24 +43,7 @@ from repro.topology.topology import Topology
 if TYPE_CHECKING:  # pragma: no cover
     from repro.traffic.generators import BernoulliSource, TrafficSource
 
-__all__ = ["Network", "RunResult"]
-
-
-@dataclass
-class RunResult:
-    """Aggregated results of one standard run."""
-
-    offered_load: float
-    accepted_load: float
-    avg_latency: float
-    p90_latency: float
-    p99_latency: float
-    max_latency: float
-    packets_measured: int
-    group_latency: dict[str, LatencyStats] = field(default_factory=dict)
-
-    def group(self, name: str) -> LatencyStats:
-        return self.group_latency[name]
+__all__ = ["Network"]
 
 
 class Network:
@@ -318,9 +301,6 @@ class Network:
             if src in nodes:
                 self.group_latency[name].record(latency)
 
-    def on_ack_delivered(self, pkt: Packet, cycle: int) -> None:
-        pass  # hook point; ACK stats are derivable from endpoint counters
-
     # ------------------------------------------------------------------
     # traffic helpers
     # ------------------------------------------------------------------
@@ -385,7 +365,7 @@ class Network:
     def run(self, cycles: int) -> None:
         self.sim.run(cycles)
 
-    def run_standard(self, drain: bool = True) -> RunResult:
+    def run_standard(self, drain: bool = True) -> EngineResult:
         """Warmup, measure, then (optionally) drain measured packets."""
         sim_cfg = self.config.sim
         self.sim.run(sim_cfg.warmup_cycles)
@@ -420,9 +400,12 @@ class Network:
         limit = max_cycles if max_cycles is not None else self.config.sim.drain_cycles
         return self.sim.run_until(self.quiescent, limit)
 
-    def result(self) -> RunResult:
+    def result(self) -> EngineResult:
+        """The run so far in the stats schema every engine shares."""
         nodes = max(1, len(self.endpoints))
-        return RunResult(
+        stalls = harvest(self)["switch.input.stalls_no_stash"]
+        return EngineResult(
+            engine="cycle",
             offered_load=_per_node(self.offered.rate(), nodes),
             accepted_load=_per_node(self.accepted.rate(), nodes),
             avg_latency=self.latency.mean,
@@ -430,7 +413,12 @@ class Network:
             p99_latency=self.latency.percentile(99),
             max_latency=self.latency.max,
             packets_measured=self.latency.count,
-            group_latency=dict(self.group_latency),
+            cycles=self.sim.cycle,
+            groups=tuple(
+                (name, GroupStats.from_latency(self.group_latency[name]))
+                for name in sorted(self.group_latency)
+            ),
+            extras=(("stash_stalls", float(stalls)),),
         )
 
     # -- probes -------------------------------------------------------------

@@ -1,16 +1,16 @@
-"""Observability: typed counters, structured event traces, timelines.
+"""Observability: harvested counters, structured event traces, timelines.
 
 ``repro.obs`` is the measurement layer of the simulator.  It is
 **zero-overhead when off**: with :class:`~repro.engine.config.ObsParams`
-disabled (the default) no registry, trace, or timeline object is ever
+disabled (the default) no observer, trace, or timeline object is ever
 constructed, and the only cost left in the cycle loop is a handful of
 ``if obs is not None`` attribute checks at packet granularity.
 
 Three instruments, by time scale:
 
-* :class:`CounterRegistry` — end-of-run aggregates (monotonic counters,
-  gauges, fixed-edge histograms) harvested from the component counters
-  the datapath already maintains; costs nothing during the run.
+* :func:`harvest` — end-of-run aggregates read off the component
+  counters the datapath already maintains (works with observability
+  off; costs nothing during the run).
 * :class:`EventTrace` — per-cycle structured events (flit injections,
   stash store/retrieve/evict, credit stalls, ECN marks) behind sampling
   filters, exported as JSONL or CSV with a stable schema.
@@ -25,8 +25,6 @@ merged across ``--jobs N`` worker processes.
 from repro.obs.counters import (
     Counter,
     CounterRegistry,
-    FixedHistogram,
-    Gauge,
     merge_snapshots,
 )
 from repro.obs.events import (
@@ -41,6 +39,7 @@ from repro.obs.events import (
 from repro.obs.observer import (
     NetworkObserver,
     ObsCapture,
+    harvest,
     live_mark,
     merge_entries,
     take_captures,
@@ -52,13 +51,12 @@ __all__ = [
     "CounterRegistry",
     "EVENT_TYPES",
     "EventTrace",
-    "FixedHistogram",
-    "Gauge",
     "NetworkObserver",
     "ObsCapture",
     "SCHEMA_FIELDS",
     "SCHEMA_VERSION",
     "Timeline",
+    "harvest",
     "live_mark",
     "merge_entries",
     "merge_snapshots",

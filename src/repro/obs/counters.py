@@ -1,11 +1,10 @@
-"""Typed end-of-run metrics: counters, gauges, fixed-edge histograms.
+"""End-of-run counters: the naming scheme, a registry, snapshot merging.
 
-Every metric lives in a :class:`CounterRegistry` under a
-``layer.component.metric`` name (e.g. ``switch.stash.stores``) so that
-snapshots sort deterministically and merge across runs without name
-collisions.  Histogram bucket edges are fixed at construction — never
-derived from the data — so two runs of the same config always bucket
-identically (the determinism contract of docs/OBSERVABILITY.md).
+Every metric is an integer under a ``layer.component.metric`` name
+(e.g. ``switch.stash.stores``) so that snapshots sort deterministically
+and merge across runs without name collisions.  A network's counters
+come from :func:`repro.obs.harvest`; services that count their own
+events (the campaign executor) increment a :class:`CounterRegistry`.
 """
 
 from __future__ import annotations
@@ -15,8 +14,6 @@ import re
 __all__ = [
     "Counter",
     "CounterRegistry",
-    "FixedHistogram",
-    "Gauge",
     "merge_snapshots",
     "metric_name_ok",
 ]
@@ -59,166 +56,55 @@ class Counter:
         self.value += amount
 
 
-class Gauge:
-    """A point-in-time value that also remembers its maximum.
-
-    >>> g = Gauge("switch.damq.peak_committed")
-    >>> g.set(7); g.set(3); (g.value, g.max)
-    (3, 7)
-    """
-
-    __slots__ = ("name", "value", "max")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.value = 0
-        self.max = 0
-
-    def set(self, value: int | float) -> None:
-        """Record the current reading, tracking the high-water mark."""
-        self.value = value
-        if value > self.max:
-            self.max = value
-
-
-class FixedHistogram:
-    """A histogram over bucket edges fixed at construction.
-
-    ``edges`` must be strictly increasing; a sample ``x`` lands in the
-    first bucket whose edge satisfies ``x <= edge``, with one overflow
-    bucket past the last edge.  Fixed edges (never data-derived) keep
-    bucketing identical across runs and worker counts.
-
-    >>> h = FixedHistogram("endpoint.nic.latency", (10, 100, 1000))
-    >>> for x in (5, 50, 50, 5000): h.record(x)
-    >>> h.buckets
-    [1, 2, 0, 1]
-    >>> h.count
-    4
-    """
-
-    __slots__ = ("name", "edges", "buckets", "count")
-
-    def __init__(self, name: str, edges: tuple[float, ...]) -> None:
-        if not edges or any(nxt <= prev for nxt, prev in zip(edges[1:], edges)):
-            raise ValueError("histogram edges must be non-empty and increasing")
-        self.name = name
-        self.edges = tuple(edges)
-        self.buckets = [0] * (len(edges) + 1)
-        self.count = 0
-
-    def record(self, value: float, weight: int = 1) -> None:
-        """Add ``weight`` samples of ``value`` to the matching bucket."""
-        i = 0
-        for edge in self.edges:
-            if value <= edge:
-                break
-            i += 1
-        self.buckets[i] += weight
-        self.count += weight
-
-
 class CounterRegistry:
-    """The named home of every counter, gauge, and histogram of one run.
+    """The named home of the counters one service run increments.
 
-    Metric constructors are idempotent per name (asking twice returns
-    the same object) and enforce the naming convention; ``snapshot()``
+    :meth:`counter` is idempotent per name (asking twice returns the
+    same object) and enforces the naming convention; ``snapshot()``
     returns a name-sorted plain dict ready to merge or serialize.
 
     >>> reg = CounterRegistry()
-    >>> reg.counter("switch.stash.stores").add(4)
-    >>> reg.gauge("switch.stash.peak_committed").set(96)
+    >>> reg.counter("campaign.points.hit").add(4)
+    >>> reg.counter("campaign.points.computed").add(1)
     >>> reg.snapshot()
-    {'switch.stash.peak_committed': 96, 'switch.stash.stores': 4}
+    {'campaign.points.computed': 1, 'campaign.points.hit': 4}
     """
 
-    __slots__ = ("_counters", "_gauges", "_histograms")
+    __slots__ = ("_counters",)
 
     def __init__(self) -> None:
         self._counters: dict[str, Counter] = {}
-        self._gauges: dict[str, Gauge] = {}
-        self._histograms: dict[str, FixedHistogram] = {}
 
-    def _check(self, name: str) -> None:
+    def counter(self, name: str) -> Counter:
+        """The counter called ``name``, created on first use."""
         if not metric_name_ok(name):
             raise ValueError(
                 f"metric name {name!r} does not follow layer.component.metric"
             )
-
-    def counter(self, name: str) -> Counter:
-        """The counter called ``name``, created on first use."""
-        self._check(name)
-        if name in self._gauges or name in self._histograms:
-            raise ValueError(f"{name!r} is already a gauge or histogram")
         return self._counters.setdefault(name, Counter(name))
 
-    def gauge(self, name: str) -> Gauge:
-        """The gauge called ``name``, created on first use."""
-        self._check(name)
-        if name in self._counters or name in self._histograms:
-            raise ValueError(f"{name!r} is already a counter or histogram")
-        return self._gauges.setdefault(name, Gauge(name))
-
-    def histogram(self, name: str, edges: tuple[float, ...]) -> FixedHistogram:
-        """The histogram called ``name``; edges must match on reuse."""
-        self._check(name)
-        if name in self._counters or name in self._gauges:
-            raise ValueError(f"{name!r} is already a counter or gauge")
-        hist = self._histograms.get(name)
-        if hist is None:
-            hist = FixedHistogram(name, edges)
-            self._histograms[name] = hist
-        elif hist.edges != tuple(edges):
-            raise ValueError(f"histogram {name!r} re-registered with new edges")
-        return hist
-
-    def snapshot(self) -> dict[str, object]:
-        """All metrics as a name-sorted plain dict.
-
-        Counters become ints, gauges their high-water mark, histograms a
-        ``{"edges": ..., "buckets": ...}`` dict — everything JSON- and
-        pickle-friendly.
-        """
-        out: dict[str, object] = {}
-        for name, c in self._counters.items():
-            out[name] = c.value
-        for name, g in self._gauges.items():
-            out[name] = g.max
-        for name, h in self._histograms.items():
-            out[name] = {"edges": list(h.edges), "buckets": list(h.buckets)}
-        return {k: out[k] for k in sorted(out)}
+    def snapshot(self) -> dict[str, int]:
+        """All counters as a name-sorted plain dict."""
+        return {name: self._counters[name].value for name in sorted(self._counters)}
 
 
-def merge_snapshots(snapshots: list[dict]) -> dict[str, object]:
-    """Combine per-run snapshots: counters and buckets sum, gauges max.
+def merge_snapshots(snapshots: list[dict[str, int]]) -> dict[str, int]:
+    """Combine per-run snapshots: counters sum, peaks take the max.
 
     >>> merge_snapshots([{"a.b.c": 1, "a.b.peak_x": 5},
     ...                  {"a.b.c": 2, "a.b.peak_x": 3}])
     {'a.b.c': 3, 'a.b.peak_x': 5}
 
-    Gauge metrics are recognized by a ``peak_`` prefix on the metric
-    segment; histogram dicts merge bucket-wise (edges must agree).
+    High-water marks are recognized by a ``peak_`` prefix on the metric
+    segment.
     """
-    merged: dict[str, object] = {}
+    merged: dict[str, int] = {}
     for snap in snapshots:
         for name, value in snap.items():
             if name not in merged:
-                merged[name] = (
-                    {"edges": list(value["edges"]),
-                     "buckets": list(value["buckets"])}
-                    if isinstance(value, dict) else value
-                )
-                continue
-            prior = merged[name]
-            if isinstance(value, dict):
-                assert isinstance(prior, dict)
-                if prior["edges"] != list(value["edges"]):
-                    raise ValueError(f"histogram {name!r} edge mismatch")
-                prior["buckets"] = [
-                    a + b for a, b in zip(prior["buckets"], value["buckets"])
-                ]
+                merged[name] = value
             elif name.rsplit(".", 1)[-1].startswith("peak_"):
-                merged[name] = max(prior, value)  # type: ignore[call-overload]
+                merged[name] = max(merged[name], value)
             else:
-                merged[name] = prior + value  # type: ignore[operator]
+                merged[name] += value
     return {k: merged[k] for k in sorted(merged)}

@@ -3,9 +3,9 @@
 A :class:`NetworkObserver` is created by :class:`repro.network.Network`
 when :class:`~repro.engine.config.ObsParams` is enabled.  It owns the
 run's :class:`~repro.obs.events.EventTrace` (handed to the instrumented
-components as their ``obs`` attribute) and, at capture time, *harvests*
-the aggregate counters the datapath maintains anyway — so counters cost
-nothing during the run.
+components as their ``obs`` attribute); at capture time it reads
+:func:`harvest` — the aggregate counters the datapath maintains anyway,
+so counters cost nothing during the run.
 
 Captures cross process boundaries: observers register themselves in a
 process-local list, :func:`take_captures` drains it into picklable
@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from repro.obs.counters import CounterRegistry
 from repro.obs.events import EventTrace
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -32,6 +31,7 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = [
     "NetworkObserver",
     "ObsCapture",
+    "harvest",
     "live_mark",
     "merge_entries",
     "take_captures",
@@ -48,11 +48,10 @@ class ObsCapture:
 
 
 class NetworkObserver:
-    """Counter registry + event trace for one :class:`Network`."""
+    """The event trace and capture hook of one :class:`Network`."""
 
     def __init__(self, params: "ObsParams") -> None:
         self.params = params
-        self.registry = CounterRegistry()
         self.trace: EventTrace | None = None
         if params.trace:
             self.trace = EventTrace(
@@ -72,68 +71,118 @@ class NetworkObserver:
     def capture(self) -> ObsCapture:
         """Harvest the network's counters and freeze the trace buffer."""
         assert self.net is not None
-        self._harvest(self.net)
         trace = self.trace
         return ObsCapture(
-            counters=self.registry.snapshot(),
+            counters=harvest(self.net),
             records=tuple(trace.records) if trace is not None else (),
             dropped=trace.dropped if trace is not None else 0,
         )
 
-    # -- harvesting ----------------------------------------------------
 
-    def _harvest(self, net: "Network") -> None:
-        """Collect the end-of-run aggregates the datapath already keeps.
+def harvest(net: "Network") -> dict[str, int]:
+    """Every aggregate counter of ``net``, name-sorted — the one place
+    that walks ports and endpoints (``Network.result``'s extras and
+    :meth:`NetworkObserver.capture` both read it).
 
-        Nothing here runs during the simulation: every value below is a
-        counter the switches, ports, and endpoints maintain for their own
-        bookkeeping, renamed into the ``layer.component.metric`` scheme.
-        """
-        reg = self.registry
-        count = reg.counter
-        gauge = reg.gauge
+    A pure read of what the components keep for their own bookkeeping,
+    renamed into the ``layer.component.metric`` scheme: nothing runs
+    during the simulation, observability need not be enabled, and
+    calling it twice returns equal dicts.  ``peak_`` values are maxima
+    over their components, everything else a sum; the key set is the
+    same for every network (absent subsystems read 0).
 
-        count("engine.sim.cycles").add(net.sim.cycle)
-        count("engine.sim.components").add(len(net.switches) + len(net.endpoints))
+    >>> from repro import Network, tiny_preset
+    >>> from repro.topology.single_switch import SingleSwitchTopology
+    >>> cfg = tiny_preset()
+    >>> net = Network(cfg, topology=SingleSwitchTopology(2, cfg.switch.num_ports))
+    >>> _ = net.endpoints[0].post_message(1, 8, 0)  # 8 flits, +1 for the ACK
+    >>> net.drain()
+    True
+    >>> counters = harvest(net)
+    >>> [counters[name] for name in ("endpoint.nic.flits_generated",
+    ...     "endpoint.nic.flits_injected", "switch.input.flits_received")]
+    [8, 9, 9]
+    >>> counters["network.messages.delivered"], counters["switch.datapath.flits_in_flight"]
+    (1, 0)
+    >>> harvest(net) == counters
+    True
+    """
+    # imported here: repro.switch imports repro.obs.events at load time
+    from repro.switch.stashing_switch import StashingSwitch
 
-        for ep in net.endpoints:
-            count("endpoint.nic.flits_generated").add(ep.flits_generated)
-            count("endpoint.nic.flits_injected").add(ep.flits_injected)
-            count("endpoint.nic.flits_ejected").add(ep.flits_ejected)
-            count("endpoint.nic.packets_delivered").add(ep.packets_delivered)
-            count("endpoint.nic.packets_corrupted").add(ep.packets_corrupted)
-            count("endpoint.nic.packets_reorder_dropped").add(
-                ep.packets_reorder_dropped
-            )
-            count("endpoint.nic.messages_posted").add(ep.messages_posted)
-            count("endpoint.ecn.marked_acks").add(ep.ecn.ecn_acks)
-            count("endpoint.ecn.window_cuts").add(ep.ecn.window_cuts)
-
-        for sw in net.switches:
-            for ip in sw.in_ports:
-                count("switch.input.flits_received").add(ip.flits_received)
-                count("switch.input.flits_sent").add(ip.flits_sent)
-                count("switch.input.packets_marked").add(ip.packets_marked)
-                count("switch.input.packets_diverted").add(ip.packets_diverted)
-                count("switch.input.copies_dispatched").add(ip.copies_dispatched)
-                count("switch.input.stalls_no_stash").add(ip.stall_no_stash)
-                gauge("switch.damq.peak_committed_in").set(ip.damq.peak_committed)
-            for op in sw.out_ports:
-                count("switch.output.flits_sent").add(op.flits_sent)
-                count("switch.output.credit_stalls").add(op.credit_stalls)
-                gauge("switch.damq.peak_committed_out").set(
-                    op.out_damq.peak_committed
-                )
-            if sw.stash_dir is not None:
-                for part in sw.stash_dir.partitions:
-                    count("switch.stash.stores").add(part.stored_total)
-                    count("switch.stash.deletes").add(part.deleted_total)
-                    count("switch.stash.retrieves").add(part.retrieved_total)
-                    gauge("switch.stash.peak_committed").set(part.peak_committed)
-                count("switch.stash.retransmits_issued").add(
-                    sw.retransmits_issued
-                )
-                count("switch.stash.deletes_applied").add(sw.deletes_applied)
+    eps = net.endpoints
+    switches = net.switches
+    ips = [ip for sw in switches for ip in sw.in_ports]
+    ops = [op for sw in switches for op in sw.out_ports]
+    rxs = [ip.link_rx for ip in ips if ip.link_rx is not None]
+    txs = [op.link_tx for op in ops if op.link_tx is not None]
+    stashing = [sw for sw in switches if isinstance(sw, StashingSwitch)]
+    parts = [
+        part
+        for sw in switches
+        if sw.stash_dir is not None
+        for part in sw.stash_dir.partitions
+    ]
+    counters = {
+        "engine.sim.cycles": net.sim.cycle,
+        "engine.sim.components": len(switches) + len(eps),
+        "network.messages.posted": len(net.messages),
+        "network.messages.delivered": sum(
+            1 for m in net.messages.values() if m.delivered
+        ),
+        "endpoint.nic.flits_generated": sum(ep.flits_generated for ep in eps),
+        "endpoint.nic.flits_injected": sum(ep.flits_injected for ep in eps),
+        "endpoint.nic.flits_ejected": sum(ep.flits_ejected for ep in eps),
+        "endpoint.nic.packets_delivered": sum(ep.packets_delivered for ep in eps),
+        "endpoint.nic.packets_corrupted": sum(ep.packets_corrupted for ep in eps),
+        "endpoint.nic.packets_reorder_dropped": sum(
+            ep.packets_reorder_dropped for ep in eps
+        ),
+        "endpoint.nic.messages_posted": sum(ep.messages_posted for ep in eps),
+        "endpoint.ecn.marked_acks": sum(ep.ecn.ecn_acks for ep in eps),
+        "endpoint.ecn.window_cuts": sum(ep.ecn.window_cuts for ep in eps),
+        "endpoint.ecn.throttled_destinations": sum(
+            ep.ecn.throttled_destinations for ep in eps
+        ),
+        "switch.input.flits_received": sum(ip.flits_received for ip in ips),
+        "switch.input.flits_sent": sum(ip.flits_sent for ip in ips),
+        "switch.input.packets_marked": sum(ip.packets_marked for ip in ips),
+        "switch.input.packets_diverted": sum(ip.packets_diverted for ip in ips),
+        "switch.input.copies_dispatched": sum(ip.copies_dispatched for ip in ips),
+        "switch.input.stalls_no_stash": sum(ip.stall_no_stash for ip in ips),
+        "switch.output.flits_sent": sum(op.flits_sent for op in ops),
+        "switch.output.credit_stalls": sum(op.credit_stalls for op in ops),
+        "switch.damq.peak_committed_in": max(
+            (ip.damq.peak_committed for ip in ips), default=0
+        ),
+        "switch.damq.peak_committed_out": max(
+            (op.out_damq.peak_committed for op in ops), default=0
+        ),
+        "switch.tile.flits_switched": sum(
+            tile.flits_switched for sw in switches for row in sw.tiles for tile in row
+        ),
+        "switch.datapath.flits_in_flight": sum(sw.inflight for sw in switches),
+        "switch.link.flits_replayed": sum(tx.flits_replayed for tx in txs),
+        "switch.link.nacks_received": sum(tx.nacks_received for tx in txs),
+        "switch.link.flits_discarded": sum(rx.flits_discarded for rx in rxs),
+        "switch.link.flits_accepted": sum(rx.flits_accepted for rx in rxs),
+        "switch.stash.capacity_flits": sum(part.capacity for part in parts),
+        "switch.stash.committed_flits": sum(part.committed_flits for part in parts),
+        "switch.stash.stores": sum(part.stored_total for part in parts),
+        "switch.stash.deletes": sum(part.deleted_total for part in parts),
+        "switch.stash.retrieves": sum(part.retrieved_total for part in parts),
+        "switch.stash.peak_committed": max(
+            (part.peak_committed for part in parts), default=0
+        ),
+        "switch.stash.retransmits_issued": sum(
+            sw.retransmits_issued for sw in stashing
+        ),
+        "switch.stash.deletes_applied": sum(sw.deletes_applied for sw in stashing),
+        "switch.sideband.messages_sent": sum(
+            sw.sideband.sent_total for sw in switches if sw.sideband is not None
+        ),
+    }
+    return dict(sorted(counters.items()))
 
 
 # -- process-local capture plumbing ------------------------------------

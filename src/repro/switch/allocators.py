@@ -37,15 +37,6 @@ class SeparableOutputFirstAllocator:
         if not requests:
             return []
         num_vcs = self.num_vcs
-        if len(requests) == 1:
-            # lone request: both stages grant it unopposed; advance the
-            # two arbiters exactly as their pick() calls would have
-            inp, vc, out = requests[0]
-            out_arb = self._out_arbiters[out]
-            out_arb._next = (inp * num_vcs + vc + 1) % out_arb.n
-            in_arb = self._in_arbiters[inp]
-            in_arb._next = (out + 1) % in_arb.n
-            return requests
         if len(requests) == 2:
             r1, r2 = requests
             if r1[0] != r2[0] and r1[2] != r2[2]:

@@ -25,6 +25,7 @@ from repro.engine.config import (
 )
 from repro.engine.simulator import Simulator
 from repro.network import Network
+from repro.obs import harvest
 from repro.topology.single_switch import SingleSwitchTopology
 
 
@@ -159,6 +160,10 @@ def sweep_rows(sweep, base, axes, seed=1, engine="cycle", jobs=1):
 def drain_and_check(net: Network, max_cycles: int = 60000) -> None:
     """Run the network empty and assert full message conservation."""
     assert net.drain(max_cycles), "network failed to drain"
-    posted = sum(ep.messages_posted for ep in net.endpoints)
-    delivered = sum(1 for m in net.messages.values() if m.delivered)
+    c = harvest(net)
+    posted = c["endpoint.nic.messages_posted"]
+    delivered = c["network.messages.delivered"]
     assert delivered == posted, f"{delivered}/{posted} messages delivered"
+    assert c["network.messages.posted"] == posted
+    assert c["switch.datapath.flits_in_flight"] == 0
+    assert c["switch.stash.committed_flits"] == 0

@@ -548,6 +548,31 @@ class TestReportAndCli:
                 ["run", campaign_file, "--store", "s", "--shard", "2/2"]
             )
 
+    @pytest.mark.parametrize("section, key", [
+        ("[axes]\nbogus = [1]", "bogus"),
+        ('[axes]\nvariants = ["stash75"]', "variant"),
+        ("[windows]\nsample_period = 0", "sample_period"),
+        ('[axes]\nloads = "0.2"', "loads"),
+    ])
+    def test_cli_reports_expansion_errors_without_a_traceback(
+        self, tmp_path, section, key
+    ):
+        """Values only expansion can judge (axis names, variants, window
+        ranges, a string where a grid axis wants an array) are still
+        campaign-file errors: ``invalid campaign FILE: ...`` naming the
+        key, exit status 1 — not a raw ValueError, and never a string
+        swept character by character."""
+        path = tmp_path / "bad.toml"
+        head = TINY_FLOW_TOML.split("[axes]")[0]
+        path.write_text(head + section + "\n")
+        for argv in (["show", str(path)],
+                     ["run", str(path), "--store", str(tmp_path / "s")]):
+            with pytest.raises(SystemExit) as exc:
+                campaign_main(argv)
+            message = exc.value.code  # a str code exits with status 1
+            assert message.startswith(f"invalid campaign {path}: ")
+            assert key in message
+
 
 # ----------------------------------------------------------------------
 # resume after SIGKILL

@@ -20,7 +20,10 @@ import pytest
 from repro.engine.config import SimParams
 from repro.experiments.fig5 import format_fig5
 from repro.experiments.fig7 import run_fig7
-from repro.experiments.common import reliability_network
+from repro.experiments.common import congestion_network, reliability_network
+from repro.obs import harvest
+from repro.traffic.generators import BernoulliSource
+from repro.traffic.patterns import hotspot
 from tests.conftest import micro_config, sweep_rows
 
 
@@ -77,20 +80,40 @@ def _latency_samples(kernel: str, variant: str, rate: float, seed: int):
     net = reliability_network(_base(kernel, seed=seed), variant, seed=seed)
     net.add_uniform_traffic(rate=rate)
     net.run_standard()
-    return net.sim.cycle, list(net.latency._samples)
+    return harvest(net), list(net.latency._samples)
 
 
 @pytest.mark.parametrize("trial", range(4))
 def test_fuzz_randomized_traffic_samples_identical(trial):
     """Fuzz flavour: randomized (variant, load, seed) points must yield
     the exact same per-packet latency sample sequence under both
-    kernels, not just matching aggregates."""
+    kernels, not just matching aggregates — and the same value of every
+    harvested counter (cycle count included): a skipped step increments
+    nothing."""
     rng = random.Random(0xC0FFEE + trial)
     variant = rng.choice(["baseline", "stash100", "stash50", "stash25"])
     rate = rng.choice([0.15, 0.35, 0.55, 0.75])
     seed = rng.randrange(1, 10_000)
-    p_cycle, p_samples = _latency_samples("polling", variant, rate, seed)
-    e_cycle, e_samples = _latency_samples("event", variant, rate, seed)
-    assert p_cycle == e_cycle
+    p_counters, p_samples = _latency_samples("polling", variant, rate, seed)
+    e_counters, e_samples = _latency_samples("event", variant, rate, seed)
+    assert p_counters == e_counters
     assert p_samples, f"no traffic delivered for {variant}@{rate} seed={seed}"
     assert p_samples == e_samples
+
+
+@pytest.mark.parametrize("variant", ["baseline", "stash100"])
+def test_congestion_counters_identical_across_kernels(variant):
+    """The same obligation on the ECN path: a hot spot's marks, window
+    cuts and congestion stashing count identically under both kernels."""
+    by_kernel = {}
+    for kernel in ("polling", "event"):
+        net = congestion_network(_base(kernel, seed=11), variant, seed=11)
+        net.add_source(
+            BernoulliSource(rate=1.0, msg_flits=4, pattern=hotspot([0])),
+            range(1, net.topology.num_nodes),
+        )
+        net.run_standard()
+        by_kernel[kernel] = harvest(net)
+    assert by_kernel["polling"]["switch.input.packets_marked"] > 0
+    assert by_kernel["polling"]["endpoint.ecn.window_cuts"] > 0
+    assert by_kernel["polling"] == by_kernel["event"]

@@ -4,7 +4,7 @@ determinism, and the zero-overhead-when-off contract.
 The two load-bearing guarantees:
 
 * enabling observability never changes simulation results (obs-on and
-  obs-off runs produce identical ``RunResult`` values), and
+  obs-off runs produce identical ``EngineResult`` values), and
 * a merged ``--trace`` file is byte-identical for any ``--jobs`` value.
 """
 
@@ -28,9 +28,8 @@ from repro.obs import (
     Counter,
     CounterRegistry,
     EventTrace,
-    FixedHistogram,
-    Gauge,
     Timeline,
+    harvest,
     merge_snapshots,
     take_captures,
 )
@@ -78,36 +77,21 @@ class TestCounters:
         with pytest.raises(ValueError):
             c.add(-1)
 
-    def test_gauge_tracks_max(self):
-        g = Gauge("a.b.peak_x")
-        for v in (2, 9, 4):
-            g.set(v)
-        assert g.value == 4 and g.max == 9
-
-    def test_histogram_buckets(self):
-        h = FixedHistogram("a.b.c", (10, 20))
-        for v in (5, 10, 11, 50):
-            h.record(v)
-        assert h.buckets == [2, 1, 1]  # <=10, <=20, >20
-        with pytest.raises(ValueError):
-            FixedHistogram("a.b.c", (10, 10))
-
     def test_registry_idempotent_and_kind_checked(self):
         reg = CounterRegistry()
         assert reg.counter("a.b.c") is reg.counter("a.b.c")
-        with pytest.raises(ValueError):
-            reg.gauge("a.b.c")
         with pytest.raises(ValueError):
             reg.counter("not-a-metric")
 
     def test_snapshot_and_merge(self):
         reg = CounterRegistry()
         reg.counter("x.y.n").add(2)
-        reg.gauge("x.y.peak_q").set(7)
         snap = reg.snapshot()
-        merged = merge_snapshots([snap, snap])
-        assert merged["x.y.n"] == 4  # counters sum
-        assert merged["x.y.peak_q"] == 7  # peaks max
+        assert snap == {"x.y.n": 2}
+        merged = merge_snapshots(
+            [{**snap, "x.y.peak_q": 7}, {**snap, "x.y.peak_q": 5}]
+        )
+        assert merged == {"x.y.n": 4, "x.y.peak_q": 7}  # sum; peaks max
 
 
 class TestEventTrace:
@@ -164,10 +148,11 @@ def test_obs_doctests_pass():
     import repro.analysis.obsview
     import repro.obs.counters
     import repro.obs.events
+    import repro.obs.observer
     import repro.obs.timeline
 
-    for mod in (repro.obs.counters, repro.obs.events, repro.obs.timeline,
-                repro.analysis.obsview):
+    for mod in (repro.obs.counters, repro.obs.events, repro.obs.observer,
+                repro.obs.timeline, repro.analysis.obsview):
         result = doctest.testmod(mod)
         assert result.attempted > 0, f"{mod.__name__} lost its doctests"
         assert result.failed == 0, f"{mod.__name__} doctest failures"
@@ -205,6 +190,18 @@ class TestZeroOverheadContract:
         assert len(caps) == 1
         assert caps[0].records == () and caps[0].counters
         assert caps[0].counters["engine.sim.cycles"] == net.sim.cycle
+
+    def test_capture_twice_returns_equal_counters(self):
+        # regression: capture() used to add() into a persistent
+        # registry, doubling every counter on the second call
+        net = Network(obs_config(trace=False))
+        net.add_uniform_traffic(rate=0.4)
+        net.run_standard()
+        first = net.obs.capture()
+        assert first.counters["endpoint.nic.flits_injected"] > 0
+        assert net.obs.capture() == first
+        assert first.counters == harvest(net)
+        take_captures()  # leave no live observers behind
 
     def test_obs_on_results_identical_to_off(self):
         def run(cfg):

@@ -1,14 +1,15 @@
-"""Network instrumentation reports."""
+"""The counter harvest (:func:`repro.obs.harvest`) on live networks:
+conservation identities, protocol health, purity."""
 
-import pytest
-
-from repro.analysis.report import format_report, network_report
+from repro.analysis.obsview import format_counters
 from repro.engine.config import (
     LinkParams,
     ReliabilityParams,
     StashParams,
 )
 from repro.network import Network
+from repro.obs import harvest
+from repro.obs.counters import metric_name_ok
 from tests.conftest import drain_and_check, micro_config, single_switch_net
 
 
@@ -17,14 +18,17 @@ def test_baseline_report_counts_flits():
     net.add_uniform_traffic(rate=0.3, stop=400)
     net.sim.run(400)
     drain_and_check(net)
-    rep = network_report(net)
-    ep = rep["endpoints"]
-    assert ep["flits_injected"] > 0
-    assert ep["flits_injected"] == rep["switches"]["flits_received"]
-    assert rep["conservation"]["in_flight_flits"] == 0
-    assert rep["conservation"]["messages_delivered"] == \
-        rep["conservation"]["messages_total"]
-    assert 0 < ep["injection_rate"] < 1
+    c = harvest(net)
+    assert c["endpoint.nic.flits_injected"] > 0
+    # one switch: every injected flit is received exactly once
+    assert c["endpoint.nic.flits_injected"] == c["switch.input.flits_received"]
+    assert c["switch.datapath.flits_in_flight"] == 0
+    assert c["network.messages.delivered"] == c["network.messages.posted"]
+    assert c["network.messages.posted"] == c["endpoint.nic.messages_posted"]
+    rate = c["endpoint.nic.flits_injected"] / (
+        c["engine.sim.cycles"] * len(net.endpoints)
+    )
+    assert 0 < rate < 1
 
 
 def test_stash_section_populated():
@@ -32,12 +36,12 @@ def test_stash_section_populated():
     net.add_uniform_traffic(rate=0.3, stop=400)
     net.sim.run(400)
     drain_and_check(net)
-    rep = network_report(net)
-    assert rep["stash"]["capacity_flits"] > 0
-    assert rep["stash"]["stored_total"] > 0
-    assert rep["stash"]["stored_total"] == rep["stash"]["deleted_total"]
-    assert rep["stash"]["committed_flits"] == 0  # fully drained
-    assert rep["stash"]["sideband_messages"] >= 2 * rep["stash"]["stored_total"]
+    c = harvest(net)
+    assert c["switch.stash.capacity_flits"] > 0
+    assert c["switch.stash.stores"] > 0
+    assert c["switch.stash.stores"] == c["switch.stash.deletes"]
+    assert c["switch.stash.committed_flits"] == 0  # fully drained
+    assert c["switch.sideband.messages_sent"] >= 2 * c["switch.stash.stores"]
 
 
 def test_link_section_populated():
@@ -48,10 +52,10 @@ def test_link_section_populated():
     net.add_uniform_traffic(rate=0.25, stop=600)
     net.sim.run(600)
     drain_and_check(net, max_cycles=300_000)
-    rep = network_report(net)
-    assert rep["link"]["replayed"] > 0
-    assert rep["link"]["nacks"] > 0
-    assert rep["link"]["accepted"] > rep["link"]["discarded"]
+    c = harvest(net)
+    assert c["switch.link.flits_replayed"] > 0
+    assert c["switch.link.nacks_received"] > 0
+    assert c["switch.link.flits_accepted"] > c["switch.link.flits_discarded"]
 
 
 def test_format_report_renders_sections():
@@ -59,17 +63,11 @@ def test_format_report_renders_sections():
     net.add_uniform_traffic(rate=0.3, stop=300)
     net.sim.run(300)
     drain_and_check(net)
-    text = format_report(network_report(net))
-    assert "[endpoints]" in text
-    assert "[stash]" in text
-    assert "stored_total" in text
-
-
-def test_empty_sections_omitted():
-    net = single_switch_net()
-    text = format_report(network_report(net))
-    assert "[link]" not in text
-    assert "[stash]" not in text
+    counters = harvest(net)
+    lines = format_counters(counters).splitlines()
+    assert [line.split()[0] for line in lines] == list(counters)
+    stores = next(line for line in lines if line.startswith("switch.stash.stores"))
+    assert int(stores.split()[1]) == counters["switch.stash.stores"] > 0
 
 
 def test_combined_protocols_stress():
@@ -88,36 +86,26 @@ def test_combined_protocols_stress():
     net.add_uniform_traffic(rate=0.25, stop=800)
     net.sim.run(800)
     drain_and_check(net, max_cycles=400_000)
-    rep = network_report(net)
-    assert rep["link"]["replayed"] > 0
-    assert rep["stash"]["retransmits_issued"] > 0
-    assert rep["endpoints"]["packets_corrupted"] > 0
+    c = harvest(net)
+    assert c["switch.link.flits_replayed"] > 0
+    assert c["switch.stash.retransmits_issued"] > 0
+    assert c["endpoint.nic.packets_corrupted"] > 0
 
 
-def test_fmt_float_renders_nan_as_na():
-    # regression: never-measured meters report NaN, which used to leak
-    # into tables as a bare "nan"
-    import math
-
-    from repro.analysis.report import fmt_float
-
-    assert fmt_float(math.nan) == "n/a"
-    assert fmt_float(1.5) == "1.5000"
-    assert fmt_float(0.25, spec=".2f") == "0.25"
-
-
-def test_format_report_shows_na_for_unmeasured_rates():
-    import math
-
-    report = {
-        "cycle": 100,
-        "endpoints": {"flits_injected": 10, "injection_rate": math.nan},
-        "switches": {},
-        "stash": {},
-        "ecn": {},
-        "link": {},
-        "conservation": {},
-    }
-    text = format_report(report)
-    assert "n/a" in text
-    assert "nan" not in text
+def test_harvest_is_a_pure_read_with_obs_off():
+    """No observer, no registry: harvest reads the components, so it
+    works on any network, is name-sorted, and repeats exactly."""
+    net = single_switch_net(stash=True, reliability=True)
+    assert net.obs is None
+    net.add_uniform_traffic(rate=0.3, stop=300)
+    net.sim.run(300)
+    first = harvest(net)
+    assert first == harvest(net)
+    assert list(first) == sorted(first)
+    assert all(metric_name_ok(name) for name in first)
+    assert all(isinstance(v, int) for v in first.values())
+    # the key set does not depend on which subsystems the config enables
+    assert list(harvest(single_switch_net())) == list(first)
+    # the run's result reads the same harvest
+    stalls = first["switch.input.stalls_no_stash"]
+    assert net.result().extra("stash_stalls") == float(stalls)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.engine.stats import Histogram, LatencyStats, RateMeter, TimeSeries
+from repro.engine.stats import LatencyStats, RateMeter, TimeSeries
 
 
 class TestLatencyStats:
@@ -154,42 +154,3 @@ class TestTimeSeries:
         with pytest.raises(ValueError):
             TimeSeries(period=0)
 
-
-class TestHistogram:
-    def test_binning_and_clamping(self):
-        h = Histogram(4, 0.0, 4.0)
-        for v in (0.5, 1.5, 2.5, 3.5, -1.0, 99.0):
-            h.record(v)
-        assert h.total == 6
-        assert h.counts[0] == 2  # 0.5 and clamped -1.0
-        assert h.counts[3] == 2  # 3.5 and clamped 99.0
-
-    def test_normalized_sums_to_one(self):
-        h = Histogram(10, 0, 1)
-        for v in np.linspace(0, 0.99, 37):
-            h.record(v)
-        assert h.normalized().sum() == pytest.approx(1.0)
-
-    def test_invalid_bounds(self):
-        with pytest.raises(ValueError):
-            Histogram(0, 0, 1)
-        with pytest.raises(ValueError):
-            Histogram(5, 2, 1)
-
-    def test_nan_samples_dropped_and_counted(self):
-        # regression: record(nan) used to crash on int(nan) mid-run; NaN
-        # now lands in a dedicated tally instead of any bin
-        h = Histogram(4, 0.0, 4.0)
-        h.record(math.nan)
-        h.record(1.5)
-        h.record(float("nan"))
-        assert h.total == 1
-        assert h.nan_samples == 2
-        assert h.counts[1] == 1
-
-    def test_infinities_still_clamp_to_edge_bins(self):
-        h = Histogram(4, 0.0, 4.0)
-        h.record(math.inf)
-        h.record(-math.inf)
-        assert h.nan_samples == 0
-        assert h.counts[0] == 1 and h.counts[3] == 1
