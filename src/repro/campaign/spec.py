@@ -1,9 +1,9 @@
 """Declarative sweep campaigns: the campaign file model and expansion.
 
 A **campaign** is a parameter study written down as data — which sweep
-family (``fig5`` / ``fig9`` / ``fattree``), which preset and engine,
-which axis values (loads, burst sizes, variants), and which experiment
-seeds — loaded from a TOML or JSON file (or built programmatically) and
+family (any key of :data:`SWEEPS`: every experiment that simulates),
+which preset and engine, which axis values (loads, burst sizes,
+variants), and which experiment seeds — loaded from a TOML or JSON file (or built programmatically) and
 expanded into a :class:`repro.scenario.ScenarioSpec` grid.  The
 expansion is the psim ``ConfigSweeper`` idiom recast onto this repo's
 scenario layer: the campaign file is the single source of truth, and
@@ -11,7 +11,7 @@ every execution path — serial, ``--jobs N``, ``--shard i/N``, resumed
 after a kill — derives the same ordered point list from it.
 
 Determinism contract: :func:`expand_sweep` is the one expansion —
-``repro-experiments fig5|fig9|fattree`` calls it with the CLI's preset,
+``repro-experiments <sweep>`` calls it with the CLI's preset,
 quick grid and ``--seed``, :func:`expand_campaign` with the campaign
 file's — so expansion order, point labels and per-point derived seeds
 cannot differ between the two, a campaign's cached results *are* the
@@ -22,9 +22,9 @@ File schema (see docs/CAMPAIGNS.md for the full reference)::
 
     [campaign]
     name = "fig5-paper-flow"
-    sweep = "fig5"            # fig5 | fig9 | fattree
+    sweep = "fig5"            # any SWEEPS key (docs/CAMPAIGNS.md)
     preset = "paper"          # tiny | small | paper
-    engine = "flow"           # cycle | flow
+    engine = "flow"           # cycle | flow (where the sweep allows)
     seeds = [1]               # one grid per experiment seed
     quick = false             # optional: runner --quick windows
 
@@ -44,14 +44,13 @@ import hashlib
 import json
 import tomllib
 from dataclasses import dataclass, field, replace
-from typing import Any, Mapping, Sequence
+from typing import Any, Mapping, NamedTuple, Sequence
 
 from repro.engine.base import ENGINE_NAMES
 from repro.engine.config import NetworkConfig
 from repro.engine.parallel import RunSpec, derive_run_seed
 from repro.experiments.common import (
     PRESETS,
-    SweepEntry,
     preset_by_name,
     quicken,
     scenario_point,
@@ -64,11 +63,11 @@ __all__ = [
     "CampaignPoint",
     "RESULT_SCHEMA_VERSION",
     "SWEEPS",
+    "check_engine",
     "expand_campaign",
     "expand_sweep",
     "load_campaign",
     "parse_campaign_text",
-    "seed_points",
     "shard_points",
 ]
 
@@ -80,12 +79,28 @@ __all__ = [
 #: points moved; docs/FASTPATH.md)
 RESULT_SCHEMA_VERSION = 2
 
-#: sweep family -> experiment module exposing ``<sweep>_entries(base,
-#: axes)`` (the grid) and ``format_<sweep>(rows)`` (the figure's table)
-SWEEPS: dict[str, str] = {
-    "fig5": "repro.experiments.fig5",
-    "fig9": "repro.experiments.fig9",
-    "fattree": "repro.experiments.fattree_exp",
+class SweepFamily(NamedTuple):
+    """Where a sweep family lives and which engines can run it."""
+
+    #: experiment module exposing ``<sweep>_entries(base, axes)`` (the
+    #: grid) and ``format_<sweep>(rows)`` (the figure's table)
+    module: str
+    #: engines whose envelope covers the family's scenarios; trace
+    #: replays, transients and per-port probes are cycle-only
+    #: (docs/FASTPATH.md)
+    engines: tuple[str, ...] = ("cycle",)
+
+
+#: every experiment that simulates, in the runner's ``all`` order
+SWEEPS: dict[str, SweepFamily] = {
+    "fig5": SweepFamily("repro.experiments.fig5", ENGINE_NAMES),
+    "fig6": SweepFamily("repro.experiments.fig6"),
+    "fig7": SweepFamily("repro.experiments.fig7"),
+    "fig8": SweepFamily("repro.experiments.fig8"),
+    "fig9": SweepFamily("repro.experiments.fig9", ENGINE_NAMES),
+    "ablation": SweepFamily("repro.experiments.ablations"),
+    "occupancy": SweepFamily("repro.experiments.occupancy"),
+    "fattree": SweepFamily("repro.experiments.fattree_exp", ENGINE_NAMES),
 }
 
 #: SimParams fields a campaign's [windows] section may override
@@ -223,29 +238,17 @@ class CampaignPoint:
         )
 
 
-def seed_points(
-    entries: Sequence[SweepEntry], seeds: Sequence[int], engine: str
-) -> list[CampaignPoint]:
-    """Seed sweep entries into points: one per (experiment seed, entry),
-    seed-major, each carrying ``derive_run_seed(seed, entry.label)`` —
-    a function of the experiment seed and the label alone, so a point
-    keeps its seed (and cache key) however the grid around it changes.
-    """
-    points: list[CampaignPoint] = []
-    for sweep_seed in seeds:
-        for entry in entries:
-            derived = derive_run_seed(sweep_seed, entry.label)
-            points.append(
-                CampaignPoint(
-                    index=len(points),
-                    sweep_seed=sweep_seed,
-                    key=(sweep_seed,) + tuple(entry.key),
-                    label=entry.label,
-                    spec=entry.spec.with_seed(derived),
-                    engine=engine,
-                )
-            )
-    return points
+def check_engine(sweep: str, engine: str) -> None:
+    """Reject an engine outside the ``sweep`` family's envelope."""
+    if engine not in SWEEPS[sweep].engines:
+        runs = [n for n, family in SWEEPS.items() if engine in family.engines]
+        raise ValueError(
+            f"sweep {sweep!r} is cycle-only: it measures transients or "
+            "per-packet behaviour, which the steady-state fluid fastpath "
+            "cannot represent (a time-stepped fluid mode would be needed; "
+            f"see docs/FASTPATH.md); engine {engine!r} runs "
+            f"{', '.join(runs)}"
+        )
 
 
 def expand_sweep(
@@ -258,13 +261,32 @@ def expand_sweep(
     """Expand one sweep family over ``base`` into its ordered, fully
     seeded point list: the family's ``<sweep>_entries`` builder
     validates and coerces ``axes`` (omitted axes = the full default
-    grid), then :func:`seed_points` seeds one grid per experiment seed.
+    grid), then every entry becomes one point per experiment seed,
+    seed-major, carrying ``derive_run_seed(seed, entry.label)`` — a
+    function of the experiment seed and the label alone, so a point
+    keeps its seed (and cache key) however the grid around it changes.
+    An engine outside the family's envelope is a :class:`ValueError`
+    here, before any point runs.
     """
     import importlib
 
-    module = importlib.import_module(SWEEPS[sweep])
-    entries = getattr(module, f"{sweep}_entries")(base, axes)
-    return seed_points(entries, seeds, engine)
+    check_engine(sweep, engine)
+    module = importlib.import_module(SWEEPS[sweep].module)
+    points: list[CampaignPoint] = []
+    for sweep_seed in seeds:
+        for entry in getattr(module, f"{sweep}_entries")(base, axes):
+            derived = derive_run_seed(sweep_seed, entry.label)
+            points.append(
+                CampaignPoint(
+                    index=len(points),
+                    sweep_seed=sweep_seed,
+                    key=(sweep_seed,) + tuple(entry.key),
+                    label=entry.label,
+                    spec=entry.spec.with_seed(derived),
+                    engine=engine,
+                )
+            )
+    return points
 
 
 def expand_campaign(campaign: Campaign) -> list[CampaignPoint]:

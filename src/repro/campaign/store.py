@@ -133,7 +133,11 @@ def decode_result(data: dict[str, Any]) -> EngineResult:
         groups=tuple(
             (name, GroupStats(**stats)) for name, stats in data["groups"]
         ),
-        extras=tuple((name, value) for name, value in data["extras"]),
+        # a series-valued extra is a JSON array; back to a float tuple
+        extras=tuple(
+            (name, tuple(value) if isinstance(value, list) else value)
+            for name, value in data["extras"]
+        ),
     )
 
 

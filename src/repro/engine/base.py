@@ -19,7 +19,7 @@ Select by name with :func:`get_engine`; the experiment runner threads
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Protocol
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -72,9 +72,11 @@ class EngineResult:
     Loads are flits/cycle/node over the measurement window; latencies
     are cycles.  ``groups`` holds per-traffic-group latency summaries
     keyed by the group names the scenario's traffic tracks (``victim``
-    / ``aggressor``); ``extras`` carries engine-specific scalar probes
+    / ``aggressor``); ``extras`` carries engine-specific probes: scalars
     (the cycle engine reports ``stash_stalls``, the flow engine
-    ``bottleneck_utilization`` and ``ecn_steps``).
+    ``bottleneck_utilization`` and ``ecn_steps``) and, for a scenario
+    naming ``probes``, the recorders' series as float tuples
+    (:mod:`repro.scenario.probes`).
     """
 
     engine: str
@@ -87,7 +89,7 @@ class EngineResult:
     packets_measured: int
     cycles: int
     groups: tuple[tuple[str, GroupStats], ...] = ()
-    extras: tuple[tuple[str, float], ...] = ()
+    extras: tuple[tuple[str, float | tuple[float, ...]], ...] = ()
 
     def group(self, name: str) -> GroupStats:
         """Stats for a named traffic group (e.g. ``"victim"``);
@@ -104,8 +106,21 @@ class EngineResult:
         emit it."""
         for key, value in self.extras:
             if key == name:
+                if isinstance(value, tuple):
+                    raise TypeError(f"extra {name!r} is a series")
                 return value
         return default
+
+    def series(self, name: str) -> tuple[float, ...]:
+        """A recorded series (e.g. the ``victim_latency`` probe's
+        ``victim_time``); raises :class:`KeyError` when the scenario
+        named no probe recording it."""
+        for key, value in self.extras:
+            if key == name:
+                if not isinstance(value, tuple):
+                    raise TypeError(f"extra {name!r} is a scalar")
+                return value
+        raise KeyError(name)
 
 
 class Engine(Protocol):
@@ -123,17 +138,44 @@ class CycleEngine:
     """Adapter: the cycle-accurate simulator behind the Engine protocol.
 
     Builds the network via :func:`repro.scenario.spec.build_network`
-    (the byte-identity-preserving materialisation) and drives the
-    standard warmup / measure / (optional drain) phases.
+    (the byte-identity-preserving materialisation), installs the
+    recorders the spec's ``probes`` name, and drives the standard
+    warmup / measure / (optional drain) phases — or, for a
+    :class:`~repro.scenario.spec.TraceTraffic` scenario, replays the
+    trace to completion inside one measurement window and reports its
+    execution time as the ``trace_runtime`` extra.
     """
 
     name = "cycle"
 
     def run(self, spec: "ScenarioSpec") -> EngineResult:
         """Simulate the scenario flit-by-flit and aggregate its stats."""
-        from repro.scenario.spec import build_network
+        from repro.scenario.probes import PROBES
+        from repro.scenario.spec import TraceTraffic, build_network
 
-        return build_network(spec).run_standard(drain=spec.drain)
+        net = build_network(spec)
+        readers = [PROBES[name](net) for name in spec.probes]
+        extras: tuple = ()
+        if spec.traffic and isinstance(spec.traffic[0], TraceTraffic):
+            from repro.trace import build_app, run_trace
+
+            trace = spec.traffic[0]
+            program = build_app(
+                trace.app, net.topology.num_nodes,
+                size_scale=trace.size_scale, iterations=trace.iterations,
+            )
+            net.open_measurement()
+            runtime = run_trace(net, program, trace.max_cycles)
+            net.close_measurement()
+            result = net.result()
+            extras = (("trace_runtime", float(runtime)),)
+        else:
+            result = net.run_standard(drain=spec.drain)
+        for read in readers:
+            extras += read()
+        if not extras:
+            return result
+        return replace(result, extras=result.extras + extras)
 
 
 #: the one list of engine names (``--engine`` choices, a campaign

@@ -536,6 +536,11 @@ class FlowEngine:
         in the shared :class:`EngineResult` schema."""
         from repro.scenario.spec import build_topology
 
+        if spec.probes:
+            raise EngineUnsupported(
+                f"flow engine cannot record probes {list(spec.probes)}: "
+                "a steady-state solve has no time series to sample"
+            )
         cfg = spec.resolved_config()
         topo, cfg = build_topology(spec, cfg)
         if topo is None:

@@ -1,14 +1,14 @@
 """Experiment harness: one module per paper table/figure.
 
-Every module exposes a ``format_*`` pretty-printer producing the same
-rows/series the paper reports.  The sweep families (fig5, fig9,
-fattree) pair it with a ``<sweep>_entries(base, axes)`` grid builder
-and run through the one sweep path — ``repro.campaign.spec.expand_sweep``
-then ``repro.campaign.service.run_points`` — interactively and from
-campaign files alike; the other modules pair it with a ``run_*``
-returning plain data structures.  ``python -m repro.experiments
-<name>`` (or the ``repro-experiments`` console script) drives them from
-the command line.
+Every experiment that simulates is a sweep family
+(``repro.campaign.spec.SWEEPS``): its module exposes a
+``<sweep>_entries(base, axes)`` grid builder and a ``format_<sweep>(rows)``
+renderer producing the rows/series the paper reports, and runs through
+the one sweep path — ``repro.campaign.spec.expand_sweep`` then
+``repro.campaign.service.run_points`` — interactively and from campaign
+files alike.  The two analytic tables build no network and are plain
+functions.  ``python -m repro.experiments <name>`` (or the
+``repro-experiments`` console script) drives them from the command line.
 
 Experiment index (see DESIGN.md Section 4):
 
@@ -20,7 +20,9 @@ fig6        Application-trace execution time, 6 apps x 4 networks
 fig7        Congestion transient: victim latency over time + ICDF
 fig8        Stash-buffer utilization during a congestion event
 fig9        Victim tail latency vs aggressor burst size
-ablation    Internal speedup & stash-placement ablations
+ablation    Internal speedup, stash placement, Little's-law check
+occupancy   Measured per-port buffer occupancy (Table I under traffic)
+fattree     Reliability stashing on a leaf/spine fat-tree
 ==========  ==========================================================
 """
 

@@ -7,11 +7,11 @@ The paper compares four networks in the reliability study (Section VI-A)
 variant tables live in :mod:`repro.scenario.spec`, so both engines
 resolve them identically.
 
-Every sweep-style experiment (fig5, fig9, fattree, ablations) builds a
-list of :class:`SweepEntry` — a stable key, the seed-derivation label,
-and an engine-agnostic :class:`~repro.scenario.ScenarioSpec`.  Entries
-become seeded :class:`~repro.campaign.spec.CampaignPoint` values in
-:func:`repro.campaign.spec.seed_points` and run through
+Every experiment that simulates builds a list of :class:`SweepEntry` —
+a stable key, the seed-derivation label, and an engine-agnostic
+:class:`~repro.scenario.ScenarioSpec`.  Entries become seeded
+:class:`~repro.campaign.spec.CampaignPoint` values in
+:func:`repro.campaign.spec.expand_sweep` and run through
 :func:`repro.campaign.service.run_points` — the one sweep path the
 runner and campaign files share (docs/ARCHITECTURE.md §8).  Labels are
 byte-compatible with the pre-harness scripts, so derived seeds (and

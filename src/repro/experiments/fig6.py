@@ -6,92 +6,76 @@ MultiGrid, AMG) are ~1.0 at every stash capacity; the bandwidth-bound
 traces (BIGFFT, FillBoundary) degrade only at 25 % capacity; stashing
 occasionally *beats* baseline on congestion-prone traces because the
 stash bound makes endpoints self-pacing.
+
+Cycle engine only: a trace replay is per-message dependency tracking,
+which the fluid fastpath has no notion of.
 """
 
 from __future__ import annotations
 
+from typing import Any, Mapping
+
+from repro.analysis.campaign import Rows
 from repro.analysis.metrics import normalized_runtimes
 from repro.engine.config import NetworkConfig
-from repro.engine.parallel import RunSpec, Timed, derive_run_seed, run_specs
 from repro.experiments.common import (
     RELIABILITY_VARIANTS,
-    preset_by_name,
-    reliability_network,
+    SweepEntry,
+    check_axes,
 )
-from repro.trace import build_app, run_trace
+from repro.scenario import TraceTraffic, reliability_scenario
 from repro.trace.apps import APP_REGISTRY
 
-__all__ = ["fig6_specs", "format_fig6", "run_fig6"]
-
-DEFAULT_APPS = tuple(APP_REGISTRY)
+__all__ = ["fig6_entries", "format_fig6"]
 
 
-def _fig6_point(
-    base: NetworkConfig,
-    app: str,
-    variant: str,
-    size_scale: int,
-    iterations: int,
-    max_cycles: int,
-    seed: int,
-) -> Timed:
-    net = reliability_network(base, variant, seed=seed)
-    prog = build_app(
-        app, net.topology.num_nodes, size_scale=size_scale,
-        iterations=iterations,
+def fig6_entries(
+    base: NetworkConfig, axes: Mapping[str, Any]
+) -> list[SweepEntry]:
+    """One trace replay per (app, variant), app-major (``sweep =
+    "fig6"`` in a campaign file; docs/CAMPAIGNS.md).
+
+    Accepted axes: ``apps``, ``variants`` (must include ``baseline``,
+    the normalisation reference), ``size_scale``, ``iterations``.
+    """
+    check_axes(
+        "fig6", axes, ("apps", "variants", "size_scale", "iterations"),
+        scalars=("size_scale", "iterations"),
     )
-    runtime = float(run_trace(net, prog, max_cycles))
-    return Timed(runtime, net.sim.cycle)
-
-
-def fig6_specs(
-    base: NetworkConfig,
-    apps: tuple[str, ...] = DEFAULT_APPS,
-    variants: tuple[str, ...] = tuple(RELIABILITY_VARIANTS),
-    size_scale: int = 4,
-    iterations: int = 1,
-    seed: int = 1,
-    max_cycles: int = 2_000_000,
-) -> list[RunSpec]:
-    """One spec per (app, variant) trace replay."""
+    apps = axes.get("apps", tuple(APP_REGISTRY))
+    unknown = [app for app in apps if app not in APP_REGISTRY]
+    if unknown:
+        raise ValueError(
+            f"fig6 apps must be among {sorted(APP_REGISTRY)}; unknown {unknown}"
+        )
+    variants = axes.get("variants", tuple(RELIABILITY_VARIANTS))
+    if "baseline" not in variants:
+        raise ValueError(
+            "fig6 variants must include 'baseline': runtimes are "
+            "normalized to it"
+        )
+    size_scale = int(axes.get("size_scale", 4))
+    iterations = int(axes.get("iterations", 1))
     return [
-        RunSpec(
-            key=(app, variant),
-            fn=_fig6_point,
-            args=(base, app, variant, size_scale, iterations, max_cycles),
-            seed=derive_run_seed(seed, f"fig6:{app}:{variant}"),
+        SweepEntry(
+            key=(variant, app),
+            label=f"fig6:{app}:{variant}",
+            spec=reliability_scenario(
+                base,
+                variant,
+                traffic=(TraceTraffic(app, size_scale, iterations),),
+            ),
         )
         for app in apps
         for variant in variants
     ]
 
 
-def run_fig6(
-    base: NetworkConfig | None = None,
-    apps: tuple[str, ...] = DEFAULT_APPS,
-    variants: tuple[str, ...] = tuple(RELIABILITY_VARIANTS),
-    size_scale: int = 4,
-    iterations: int = 1,
-    seed: int = 1,
-    max_cycles: int = 2_000_000,
-    jobs: int = 1,
-    progress=None,
-) -> dict[str, dict[str, float]]:
-    """Returns app -> variant -> execution cycles (absolute)."""
-    if base is None:
-        base = preset_by_name("tiny")
-    specs = fig6_specs(
-        base, apps, variants, size_scale, iterations, seed, max_cycles
-    )
-    outcomes = run_specs(specs, jobs=jobs, progress=progress)
-    runtimes: dict[str, dict[str, float]] = {app: {} for app in apps}
-    for outcome in outcomes:
-        app, variant = outcome.key
-        runtimes[app][variant] = outcome.value
-    return runtimes
-
-
-def format_fig6(runtimes: dict[str, dict[str, float]]) -> str:
+def format_fig6(rows: Rows) -> str:
+    runtimes: dict[str, dict[str, float]] = {}
+    for point, r in rows:
+        _seed, variant, app = point.key
+        runtimes.setdefault(app, {})[variant] = r.extra("trace_runtime")
     norm = normalized_runtimes(runtimes)
     variants = list(next(iter(runtimes.values())))
     header = f"{'app':<13}" + "".join(f"{v:>10}" for v in variants)

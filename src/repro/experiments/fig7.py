@@ -9,128 +9,117 @@ Expected shape (paper Section VI-B): the ECN baseline's victim latency
 spikes during the transient and its ICDF grows a long tail; stashing
 absorbs the transient (higher capacity -> flatter time series, shorter
 tail).
+
+Cycle engine only (a transient); the series come from the
+``victim_latency`` probe (:mod:`repro.scenario.probes`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import Any, Mapping
 
-import numpy as np
-
+from repro.analysis.campaign import Rows
 from repro.engine.config import NetworkConfig
-from repro.engine.stats import TimeSeries
-from repro.experiments.common import CONGESTION_VARIANTS, preset_by_name
+from repro.experiments.common import (
+    CONGESTION_VARIANTS,
+    SweepEntry,
+    check_axes,
+)
 from repro.scenario import HotspotTraffic, congestion_scenario
-from repro.scenario.spec import build_network
 
-__all__ = ["Fig7Result", "format_fig7", "run_fig7"]
+__all__ = ["fig7_entries", "format_fig7", "hotspot_entries"]
 
-
-@dataclass
-class Fig7Result:
-    """Per-variant victim series + distribution."""
-
-    time: np.ndarray
-    avg_latency: np.ndarray
-    icdf_latency: np.ndarray
-    icdf_fraction: np.ndarray
-    mean_latency: float
-    p99_latency: float
-    max_latency: float
+#: "never": the reference run's aggressors stay silent
+NEVER = 10**9
 
 
-def run_fig7(
-    base: NetworkConfig | None = None,
-    variants: tuple[str, ...] = tuple(CONGESTION_VARIANTS),
-    include_reference: bool = True,
-    victim_rate: float = 0.4,
-    onset_fraction: float = 0.2,
-    seed: int = 1,
-    total_cycles: int | None = None,
-) -> dict[str, Fig7Result]:
-    if base is None:
-        base = preset_by_name("tiny")
+def hotspot_entries(
+    sweep: str,
+    base: NetworkConfig,
+    axes: Mapping[str, Any],
+    variants: tuple[str, ...],
+    probe: str,
+    event: tuple[float, float | None],
+) -> list[SweepEntry]:
+    """The grid Figs. 7 and 8 share: one congestion transient per
+    variant, the hotspot aggressors active over the ``event`` =
+    ``(onset, offset)`` fractions of the measurement window (offset
+    ``None`` = to the end), ``probe`` recording.  No drain phase: the
+    measurement window *is* the transient.  The variant ``reference``
+    is the ECN baseline with the aggressors never switched on.
+
+    Accepted axes: ``variants``, ``victim_rate``.
+    """
+    check_axes(
+        sweep, axes, ("variants", "victim_rate"), scalars=("victim_rate",)
+    )
+    victim_rate = float(axes.get("victim_rate", 0.4))
     sim = base.sim
-    if total_cycles is None:
-        total_cycles = sim.warmup_cycles + sim.measure_cycles
-    total = total_cycles
-    onset = sim.warmup_cycles + int(
-        onset_fraction * (total - sim.warmup_cycles)
+    onset, offset = (
+        None if f is None else sim.warmup_cycles + int(f * sim.measure_cycles)
+        for f in event
+    )
+    return [
+        SweepEntry(
+            key=(name,),
+            label=f"{sweep}:{name}",
+            spec=congestion_scenario(
+                base,
+                "baseline" if name == "reference" else name,
+                traffic=(
+                    HotspotTraffic(
+                        victim_rate=victim_rate,
+                        aggressor_start=NEVER if name == "reference" else onset,
+                        aggressor_stop=offset,
+                    ),
+                ),
+                drain=False,
+                probes=(probe,),
+            ),
+        )
+        for name in axes.get("variants", variants)
+    ]
+
+
+def fig7_entries(
+    base: NetworkConfig, axes: Mapping[str, Any]
+) -> list[SweepEntry]:
+    """One transient per congestion variant plus ``reference``, the
+    aggressors switching on 20 % into the measurement window (``sweep =
+    "fig7"`` in a campaign file; docs/CAMPAIGNS.md)."""
+    return hotspot_entries(
+        "fig7", base, axes, (*CONGESTION_VARIANTS, "reference"),
+        "victim_latency", (0.2, None),
     )
 
-    results: dict[str, Fig7Result] = {}
-    runs = list(variants) + (["reference"] if include_reference else [])
-    for name in runs:
-        variant = "baseline" if name == "reference" else name
-        spec = congestion_scenario(
-            base,
-            variant,
-            traffic=(
-                HotspotTraffic(
-                    victim_rate=victim_rate,
-                    aggressor_start=onset if name != "reference" else 10**9,
-                ),
-            ),
-        ).with_seed(seed)
-        net = build_network(spec)
-        scenario = net.built_scenarios[0]
-        victims = frozenset(scenario.victim_nodes)
-        series = TimeSeries(period=max(1, sim.sample_period))
 
-        def on_delivered(pkt, cycle, _victims=victims, _series=series):
-            if pkt.src in _victims:
-                _series.record(cycle, cycle - pkt.birth_cycle)
+def format_fig7(rows: Rows) -> str:
+    from repro.analysis.ascii_chart import multi_series_chart
 
-        net.on_packet_delivered_hooks.append(on_delivered)
-        net.sim.run(sim.warmup_cycles)
-        net.open_measurement()
-        net.sim.run(total - sim.warmup_cycles)
-        net.close_measurement()
-
-        t, lat = series.series()
-        stats = net.group_latency["victim"]
-        x, frac = stats.inverse_cdf()
-        results[name] = Fig7Result(
-            time=t,
-            avg_latency=lat,
-            icdf_latency=x,
-            icdf_fraction=frac,
-            mean_latency=stats.mean,
-            p99_latency=stats.percentile(99),
-            max_latency=stats.max,
-        )
-    return results
-
-
-def format_fig7(results: dict[str, Fig7Result]) -> str:
     lines = [
         "Figure 7 — victim response to congestion onset",
         "",
         f"{'variant':<11} {'mean lat':>9} {'p99 lat':>9} {'max lat':>9}",
     ]
-    for name, res in results.items():
+    for point, r in rows:
+        victim = r.group("victim")
         lines.append(
-            f"{name:<11} {res.mean_latency:>9.1f} {res.p99_latency:>9.1f} "
-            f"{res.max_latency:>9.0f}"
+            f"{point.key[1]:<11} {victim.mean:>9.1f} {victim.p99:>9.1f} "
+            f"{victim.max:>9.0f}"
         )
-    lines.append("")
-    lines.append("(a) victim avg latency over time:")
-    from repro.analysis.ascii_chart import multi_series_chart
-
-    series = {
-        name: (res.time, res.avg_latency)
-        for name, res in results.items()
-        if res.time.size
-    }
-    if series:
-        lines.append(multi_series_chart(series))
-    lines.append("")
-    lines.append("(b) victim inverse-cumulative latency distribution:")
-    icdf = {
-        name: (res.icdf_latency, res.icdf_fraction)
-        for name, res in results.items()
-        if res.icdf_latency.size
-    }
-    if icdf:
-        lines.append(multi_series_chart(icdf))
+    for title, x_name, y_name in (
+        ("(a) victim avg latency over time:",
+         "victim_time", "victim_avg_latency"),
+        ("(b) victim inverse-cumulative latency distribution:",
+         "victim_icdf_latency", "victim_icdf_fraction"),
+    ):
+        lines.append("")
+        lines.append(title)
+        series = {
+            point.key[1]: (r.series(x_name), r.series(y_name))
+            for point, r in rows
+            if r.series(x_name)
+        }
+        if series:
+            lines.append(multi_series_chart(series))
     return "\n".join(lines)

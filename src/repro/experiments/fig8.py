@@ -9,115 +9,62 @@ Expected shape (paper Section VI-B): at aggressor onset the offered load
 shoots up and stash utilization follows; ECN feedback then throttles the
 sources, utilization stays high through the transient, and once ECN
 converges the stash drains to near zero.
+
+Cycle engine only (a transient); the series come from the
+``hotspot_stash`` probe (:mod:`repro.scenario.probes`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import Any, Mapping
 
-import numpy as np
-
+from repro.analysis.campaign import Rows
 from repro.engine.config import NetworkConfig
-from repro.experiments.common import preset_by_name
-from repro.scenario import HotspotTraffic, congestion_scenario
-from repro.scenario.spec import build_network
+from repro.experiments.common import SweepEntry
+from repro.experiments.fig7 import hotspot_entries
 
-__all__ = ["Fig8Result", "format_fig8", "run_fig8"]
-
-
-@dataclass
-class Fig8Result:
-    time: np.ndarray
-    aggressor_load: np.ndarray  # flits/cycle injected by aggressor sources
-    stash_utilization: np.ndarray  # fraction of hotspot-switch stash in use
-    hotspot_switch: int
-    peak_utilization: float
+__all__ = ["fig8_entries", "format_fig8"]
 
 
-def run_fig8(
-    base: NetworkConfig | None = None,
-    variant: str = "stash100",
-    victim_rate: float = 0.4,
-    onset_fraction: float = 0.1,
-    offset_fraction: float = 0.25,
-    seed: int = 1,
-    total_cycles: int | None = None,
-) -> Fig8Result:
-    """The aggressor event occupies [onset, offset) of the post-warmup
-    window.  Because the aggressor is open-loop, its NIC backlog keeps
-    the hotspot congested for ~(oversubscription - 1) times the event
-    duration after it stops; the default fractions leave enough run time
-    for the stash to drain back to near zero (the tail of the paper's
-    Fig. 8)."""
-    if base is None:
-        base = preset_by_name("tiny")
-    sim = base.sim
-    if total_cycles is None:
-        total_cycles = sim.warmup_cycles + sim.measure_cycles
-    total = total_cycles
-    onset = sim.warmup_cycles + int(onset_fraction * (total - sim.warmup_cycles))
-    offset = sim.warmup_cycles + int(offset_fraction * (total - sim.warmup_cycles))
+def fig8_entries(
+    base: NetworkConfig, axes: Mapping[str, Any]
+) -> list[SweepEntry]:
+    """One congestion event per stashing variant (default ``stash100``;
+    ``sweep = "fig8"`` in a campaign file; docs/CAMPAIGNS.md).
 
-    spec = congestion_scenario(
-        base,
-        variant,
-        traffic=(
-            HotspotTraffic(
-                victim_rate=victim_rate,
-                aggressor_start=onset,
-                aggressor_stop=offset,
-            ),
-        ),
-    ).with_seed(seed)
-    net = build_network(spec)
-    scenario = net.built_scenarios[0]
-    hotspot_node = scenario.hotspot_nodes[0]
-    hotspot_switch = net.topology.node_switch(hotspot_node)  # type: ignore[attr-defined]
-    aggr_eps = [net.endpoints[n] for n in scenario.aggressor_nodes]
-
-    times: list[float] = []
-    loads: list[float] = []
-    utils: list[float] = []
-    state = {"last_cycle": 0, "last_flits": 0}
-    period = max(1, sim.sample_period)
-
-    def probe(cycle: int) -> None:
-        flits = sum(ep.flits_injected for ep in aggr_eps)
-        dt = cycle - state["last_cycle"]
-        if dt > 0:
-            times.append(cycle)
-            loads.append((flits - state["last_flits"]) / dt)
-            utils.append(net.stash_utilization(hotspot_switch))
-        state["last_cycle"] = cycle
-        state["last_flits"] = flits
-
-    net.sim.add_sampler(period, probe)
-    net.sim.run(total)
-
-    util_arr = np.asarray(utils)
-    return Fig8Result(
-        time=np.asarray(times, dtype=float),
-        aggressor_load=np.asarray(loads),
-        stash_utilization=util_arr,
-        hotspot_switch=hotspot_switch,
-        peak_utilization=float(util_arr.max()) if util_arr.size else 0.0,
+    The aggressor event occupies [10 %, 25 %) of the measurement window.
+    Because the aggressor is open-loop, its NIC backlog keeps the
+    hotspot congested for ~(oversubscription - 1) times the event
+    duration after it stops; these fractions leave enough run time for
+    the stash to drain back to near zero (the tail of the paper's
+    Fig. 8).
+    """
+    return hotspot_entries(
+        "fig8", base, axes, ("stash100",), "hotspot_stash", (0.1, 0.25)
     )
 
 
-def format_fig8(result: Fig8Result) -> str:
-    lines = [
-        "Figure 8 — stash usage during a congestion event "
-        f"(hotspot switch {result.hotspot_switch})",
-        "",
-        f"{'time':>8} {'aggr flits/cyc':>15} {'stash util':>11}",
-    ]
-    stride = max(1, len(result.time) // 24)
-    for t, load, util in zip(
-        result.time[::stride],
-        result.aggressor_load[::stride],
-        result.stash_utilization[::stride],
-    ):
-        bar = "#" * int(util * 40)
-        lines.append(f"{int(t):>8} {load:>15.2f} {util:>11.3f} {bar}")
-    lines.append(f"\npeak stash utilization: {result.peak_utilization:.3f}")
-    return "\n".join(lines)
+def format_fig8(rows: Rows) -> str:
+    blocks = []
+    for _point, r in rows:
+        time = r.series("stash_time")
+        utilization = r.series("stash_utilization")
+        lines = [
+            "Figure 8 — stash usage during a congestion event "
+            f"(hotspot switch {int(r.extra('hotspot_switch'))})",
+            "",
+            f"{'time':>8} {'aggr flits/cyc':>15} {'stash util':>11}",
+        ]
+        stride = max(1, len(time) // 24)
+        for t, load, util in zip(
+            time[::stride],
+            r.series("aggressor_load")[::stride],
+            utilization[::stride],
+        ):
+            bar = "#" * int(util * 40)
+            lines.append(f"{int(t):>8} {load:>15.2f} {util:>11.3f} {bar}")
+        lines.append(
+            f"\npeak stash utilization: {max(utilization, default=0.0):.3f}"
+        )
+        blocks.append("\n".join(lines))
+    return "\n\n".join(blocks)

@@ -6,145 +6,79 @@ realistic load, sample every port's committed input + output occupancy,
 and report the peak per link class.  The fraction of the symmetric
 buffer never touched is the stashable headroom — the empirical basis of
 the whole paper.
+
+Cycle engine only (per-port buffer state); the samples come from the
+``port_occupancy`` probe (:mod:`repro.scenario.probes`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import replace
+from typing import Any, Mapping
 
+from repro.analysis.campaign import Rows
 from repro.engine.config import NetworkConfig
-from repro.engine.parallel import RunSpec, Timed, derive_run_seed, run_specs
-from repro.experiments.common import preset_by_name
-from repro.obs.timeline import Timeline
+from repro.experiments.common import SweepEntry, check_axes
 from repro.scenario import ScenarioSpec, UniformTraffic
-from repro.scenario.spec import build_network
+from repro.scenario.probes import LINK_CLASSES
 
-__all__ = [
-    "OccupancyRow",
-    "format_occupancy",
-    "occupancy_specs",
-    "run_occupancy_census",
-]
+__all__ = ["format_occupancy", "occupancy_entries"]
 
-
-@dataclass(frozen=True)
-class OccupancyRow:
-    link_class: str
-    ports: int
-    capacity_flits: int  # input + output per port
-    peak_flits: int
-    mean_peak_flits: float
-
-    @property
-    def idle_fraction(self) -> float:
-        """Fraction of the port's buffering never used even at peak."""
-        return 1.0 - self.peak_flits / self.capacity_flits
+#: cycles between occupancy samples (finer than the presets' figure
+#: sampling: a peak is what the census is after)
+SAMPLE_PERIOD = 20
 
 
-def _census_point(
-    base: NetworkConfig,
-    load: float,
-    sample_period: int,
-    seed: int,
-) -> Timed:
-    # baseline: full symmetric buffers everywhere (plain variant)
-    spec = ScenarioSpec(
-        config=base, traffic=(UniformTraffic(rate=load),)
-    ).with_seed(seed)
-    net = build_network(spec)
+def occupancy_entries(
+    base: NetworkConfig, axes: Mapping[str, Any]
+) -> list[SweepEntry]:
+    """One census per offered load on the plain baseline network — full
+    symmetric buffers everywhere — over warmup + measure, no drain
+    (``sweep = "occupancy"`` in a campaign file; docs/CAMPAIGNS.md).
 
-    topo = net.topology
-    classes = ("endpoint", "local", "global")
-    # one Timeline tracker per active (switch, port): committed input +
-    # output occupancy, sampled every sample_period cycles
-    port_class: dict[tuple[int, int], str] = {}
-    tl = Timeline(sample_period)
-    for s in range(topo.num_switches):
-        for spec in topo.switch_ports(s):
-            if spec.link_class in classes:
-                p = spec.port
-                port_class[(s, p)] = spec.link_class
-                ip, op = net.switches[s].in_ports[p], net.switches[s].out_ports[p]
-                tl.track(
-                    f"occ.{s}.{p}",
-                    lambda ip=ip, op=op: (
-                        ip.damq.total_committed + op.out_damq.total_committed
-                    ),
-                )
-    tl.install(net.sim)
-    net.sim.run(base.sim.warmup_cycles + base.sim.measure_cycles)
-
-    capacity = base.switch.input_buffer_flits + base.switch.output_buffer_flits
-    rows = []
-    for cls in classes:
-        peaks = [
-            tl.peak(f"occ.{s}.{p}")
-            for (s, p), c in port_class.items()
-            if c == cls
-        ]
-        if not peaks:
-            continue
-        rows.append(
-            OccupancyRow(
-                link_class=cls,
-                ports=len(peaks),
-                capacity_flits=capacity,
-                peak_flits=max(peaks),
-                mean_peak_flits=sum(peaks) / len(peaks),
-            )
-        )
-    return Timed(rows, net.sim.cycle)
-
-
-def occupancy_specs(
-    base: NetworkConfig,
-    load: float = 0.6,
-    seed: int = 1,
-    sample_period: int = 20,
-) -> list[RunSpec]:
-    """The census is a single simulation, expressed as one run spec so
-    it schedules uniformly alongside the other sweeps."""
+    Accepted axes: ``loads`` (coerced to float).
+    """
+    check_axes("occupancy", axes, ("loads",))
+    config = base.with_(sim=replace(base.sim, sample_period=SAMPLE_PERIOD))
     return [
-        RunSpec(
+        SweepEntry(
             key=("census", load),
-            fn=_census_point,
-            args=(base, load, sample_period),
-            seed=derive_run_seed(seed, f"occupancy:{load!r}"),
+            label=f"occupancy:{load!r}",
+            spec=ScenarioSpec(
+                config=config,
+                traffic=(UniformTraffic(rate=load),),
+                drain=False,
+                probes=("port_occupancy",),
+            ),
         )
+        for load in (float(x) for x in axes.get("loads", (0.6,)))
     ]
 
 
-def run_occupancy_census(
-    base: NetworkConfig | None = None,
-    load: float = 0.6,
-    seed: int = 1,
-    sample_period: int = 20,
-    jobs: int = 1,
-    progress=None,
-) -> list[OccupancyRow]:
-    if base is None:
-        base = preset_by_name("tiny")
-    specs = occupancy_specs(base, load, seed, sample_period)
-    outcomes = run_specs(specs, jobs=jobs, progress=progress)
-    return outcomes[0].value
-
-
-def format_occupancy(rows: list[OccupancyRow], load: float = 0.6) -> str:
-    lines = [
-        f"Measured buffer occupancy census (baseline network, load {load})",
-        "",
-        f"{'class':<10} {'ports':>6} {'capacity':>9} {'peak':>6} "
-        f"{'mean peak':>10} {'idle at peak':>13}",
-    ]
-    for r in rows:
-        lines.append(
-            f"{r.link_class:<10} {r.ports:>6} {r.capacity_flits:>9} "
-            f"{r.peak_flits:>6} {r.mean_peak_flits:>10.1f} "
-            f"{r.idle_fraction:>12.0%}"
-        )
-    lines.append("")
-    lines.append(
+def format_occupancy(rows: Rows) -> str:
+    blocks = []
+    for point, r in rows:
+        switch = point.spec.config.switch
+        capacity = switch.input_buffer_flits + switch.output_buffer_flits
+        lines = [
+            "Measured buffer occupancy census (baseline network, load "
+            f"{point.key[2]})",
+            "",
+            f"{'class':<10} {'ports':>6} {'capacity':>9} {'peak':>6} "
+            f"{'mean peak':>10} {'idle at peak':>13}",
+        ]
+        for link_class in LINK_CLASSES:
+            peaks = r.series(f"port_peaks_{link_class}")
+            if not peaks:
+                continue  # this topology has no such ports
+            lines.append(
+                f"{link_class:<10} {len(peaks):>6} {capacity:>9} "
+                f"{int(max(peaks)):>6} {sum(peaks) / len(peaks):>10.1f} "
+                f"{1.0 - max(peaks) / capacity:>12.0%}"
+            )
+        blocks.append("\n".join(lines))
+    blocks.append(
         "idle-at-peak is the stashable headroom Table I derives from link "
         "lengths — here measured under traffic."
     )
-    return "\n".join(lines)
+    return "\n\n".join(blocks)

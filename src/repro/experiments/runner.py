@@ -23,24 +23,18 @@ import sys
 import time
 
 from repro.campaign.service import run_points
-from repro.campaign.spec import SWEEPS, expand_sweep
+from repro.campaign.spec import SWEEPS, check_engine, expand_sweep
 from repro.engine.base import ENGINE_NAMES
+from repro.engine.parallel import drain_run_log
 from repro.experiments.common import PRESETS, preset_by_name, quicken
+from repro.experiments.tables import (
+    format_table1,
+    format_table2,
+    run_table1,
+    table2_rows,
+)
 
 __all__ = ["main"]
-
-EXPERIMENTS = (
-    "table1",
-    "table2",
-    "fig5",
-    "fig6",
-    "fig7",
-    "fig8",
-    "fig9",
-    "ablation",
-    "occupancy",
-    "fattree",
-)
 
 
 def _progress_printer(name: str):
@@ -59,91 +53,39 @@ def _progress_printer(name: str):
     return progress
 
 
-#: experiments that run on either engine — the registered sweep
-#: families; everything else probes the switch microarchitecture or
-#: transient behavior and is cycle-only (see docs/FASTPATH.md)
-ENGINE_AWARE = tuple(SWEEPS)
-
 #: the sparser grid ``--quick`` runs of each sweep family (omitted axes
 #: keep the family's defaults)
-QUICK_AXES = {
+QUICK_AXES: dict[str, dict] = {
     "fig5": {"loads": (0.2, 0.5, 0.8)},
+    "fig6": {"apps": ("BIGFFT", "MiniFE")},
+    "fig7": {},
+    "fig8": {},
     "fig9": {"bursts_pkts": (1, 8, 32)},
+    "ablation": {"speedups": (1.0, 1.3)},
+    "occupancy": {},
     "fattree": {"loads": (0.3,)},
 }
+
+#: the experiments that build no network: name -> render(base)
+ANALYTIC = {
+    "table1": lambda base: format_table1(run_table1(base)),
+    "table2": lambda base: format_table2(table2_rows()),
+}
+
+#: ``all`` runs these ten, in this order
+EXPERIMENTS = (*ANALYTIC, *SWEEPS)
 
 
 def _run_one(name: str, base, quick: bool, jobs: int = 1,
              engine: str = "cycle", seed: int = 1) -> str:
-    progress = _progress_printer(name)
-    if engine != "cycle" and name not in ENGINE_AWARE:
-        from repro.engine.base import EngineUnsupported
-
-        raise EngineUnsupported(
-            f"experiment {name!r} is cycle-only: it measures transients or "
-            "per-packet behaviour, which the steady-state fluid fastpath "
-            "cannot represent (a time-stepped fluid mode would be needed; "
-            f"see docs/FASTPATH.md). --engine {engine} supports "
-            f"{', '.join(ENGINE_AWARE)}"
-        )
-    if name in SWEEPS:
-        points = expand_sweep(
-            name, base, QUICK_AXES[name] if quick else {}, (seed,), engine
-        )
-        rows = run_points(points, jobs=jobs, progress=progress)
-        module = importlib.import_module(SWEEPS[name])
-        return getattr(module, f"format_{name}")(rows)
-    if name == "table1":
-        from repro.experiments.tables import format_table1, run_table1
-
-        return format_table1(run_table1(base))
-    if name == "table2":
-        from repro.experiments.tables import format_table2, run_table2
-
-        return format_table2(run_table2(jobs=jobs, progress=progress))
-    if name == "fig6":
-        from repro.experiments.fig6 import format_fig6, run_fig6
-
-        apps = ("BIGFFT", "MiniFE") if quick else None
-        kwargs = {"apps": apps} if apps else {}
-        return format_fig6(
-            run_fig6(base, seed=seed, jobs=jobs, progress=progress, **kwargs)
-        )
-    if name == "fig7":
-        from repro.experiments.fig7 import format_fig7, run_fig7
-
-        return format_fig7(run_fig7(base, seed=seed))
-    if name == "fig8":
-        from repro.experiments.fig8 import format_fig8, run_fig8
-
-        return format_fig8(run_fig8(base, seed=seed))
-    if name == "occupancy":
-        from repro.experiments.occupancy import (
-            format_occupancy,
-            run_occupancy_census,
-        )
-
-        return format_occupancy(
-            run_occupancy_census(
-                base, seed=seed, jobs=jobs, progress=progress
-            )
-        )
-    if name == "ablation":
-        from repro.experiments.ablations import (
-            format_ablations,
-            run_littles_law_check,
-            run_placement_ablation,
-            run_speedup_ablation,
-        )
-
-        speedups = (1.0, 1.3) if quick else (1.0, 1.15, 1.3, 1.5)
-        common = {"seed": seed, "jobs": jobs, "progress": progress}
-        return format_ablations(
-            run_speedup_ablation(base, speedups=speedups, **common),
-            run_placement_ablation(base, **common),
-            run_littles_law_check(base, **common),
-        )
-    raise ValueError(f"unknown experiment {name!r}")
+    if name in ANALYTIC:
+        return ANALYTIC[name](base)
+    points = expand_sweep(
+        name, base, QUICK_AXES[name] if quick else {}, (seed,), engine
+    )
+    rows = run_points(points, jobs=jobs, progress=_progress_printer(name))
+    module = importlib.import_module(SWEEPS[name].module)
+    return getattr(module, f"format_{name}")(rows)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -187,7 +129,7 @@ def main(argv: list[str] | None = None) -> int:
         default="cycle",
         choices=ENGINE_NAMES,
         help="simulation engine: 'cycle' (cycle-accurate, default) or "
-        "'flow' (flow-level fastpath; fig5/fig9/fattree only)",
+        "'flow' (flow-level fastpath; steady-state sweeps only)",
     )
     parser.add_argument(
         "--kernel",
@@ -212,19 +154,18 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.jobs < 1:
         parser.error("--jobs must be >= 1")
-    if args.engine != "cycle":
-        wanted = (
-            EXPERIMENTS if args.experiment == "all" else (args.experiment,)
-        )
-        bad = [n for n in wanted if n not in ENGINE_AWARE]
-        if bad:
-            parser.error(
-                f"--engine {args.engine} supports {', '.join(ENGINE_AWARE)}; "
-                f"{', '.join(bad)} are cycle-only: they measure transients "
-                "or per-packet behaviour, which the steady-state fluid "
-                "fastpath cannot represent (a time-stepped fluid mode would "
-                "be needed; see docs/FASTPATH.md)"
-            )
+    names = EXPERIMENTS if args.experiment == "all" else (args.experiment,)
+    try:
+        for name in names:
+            if name in SWEEPS:
+                check_engine(name, args.engine)
+            elif args.engine != "cycle":
+                raise ValueError(
+                    f"{name} is analytic (it builds no network): "
+                    f"--engine {args.engine} does not apply"
+                )
+    except ValueError as exc:
+        parser.error(str(exc))
 
     base = preset_by_name(args.preset)
     if args.quick:
@@ -242,7 +183,6 @@ def main(argv: list[str] | None = None) -> int:
             obs=ObsParams(enabled=True, trace=args.trace is not None)
         )
 
-    names = EXPERIMENTS if args.experiment == "all" else (args.experiment,)
     captures = []
     for name in names:
         t0 = time.perf_counter()
@@ -254,7 +194,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"--- {name} done in {time.perf_counter() - t0:.1f}s ---",
               file=sys.stderr)
         if obs_on:
-            captures.extend(_drain_captures())
+            # every network is built inside a sweep point, so the run
+            # log is all of them, in (sweep, index) order for any --jobs
+            captures.extend(drain_run_log())
 
     if args.metrics and captures:
         from repro.analysis.obsview import format_counters, merged_counters
@@ -269,16 +211,6 @@ def main(argv: list[str] | None = None) -> int:
         print(f"wrote {records} trace records from {len(captures)} run(s) "
               f"to {args.trace}", file=sys.stderr)
     return 0
-
-
-def _drain_captures() -> list:
-    """Collect captures from sweep points (in (sweep, index) order) and
-    any networks the experiment built outside a sweep (in construction
-    order) — the same order for any ``--jobs`` value."""
-    from repro.engine.parallel import drain_run_log
-    from repro.obs.observer import take_captures
-
-    return drain_run_log() + take_captures()
 
 
 if __name__ == "__main__":

@@ -1,4 +1,4 @@
-"""Tables I and II.
+"""Tables I and II — the two experiments that build no network.
 
 Table I is analytic (link asymmetry -> buffer underutilization); Table II
 is the inventory of application traces, reproduced here with the metadata
@@ -13,22 +13,17 @@ from repro.analysis.table1 import (
     paper_table1,
 )
 from repro.engine.config import NetworkConfig
-from repro.engine.parallel import RunSpec, run_specs
-from repro.experiments.common import preset_by_name
 from repro.trace.apps import APP_REGISTRY, build_app
 
 __all__ = [
     "format_table1",
     "format_table2",
     "run_table1",
-    "run_table2",
-    "table2_specs",
+    "table2_rows",
 ]
 
 
-def run_table1(base: NetworkConfig | None = None) -> dict:
-    if base is None:
-        base = preset_by_name("tiny")
+def run_table1(base: NetworkConfig) -> dict:
     paper_rows = paper_table1()
     sim_rows = dragonfly_link_table(base.dragonfly, base.switch)
     return {
@@ -62,34 +57,20 @@ def format_table1(result: dict) -> str:
     return "\n".join(lines)
 
 
-def _table2_row(name: str, ranks: int, size_scale: int) -> dict:
-    spec = APP_REGISTRY[name]
-    prog = build_app(name, ranks, size_scale=size_scale, iterations=1)
-    return {
-        "name": name,
-        "description": spec.description,
-        "load_class": spec.load_class,
-        "ranks": ranks,
-        "ops": prog.total_ops,
-        "send_flits": prog.total_send_flits,
-    }
-
-
-def table2_specs(ranks: int = 42, size_scale: int = 4) -> list[RunSpec]:
-    """One spec per application trace (deterministic builds: no seed)."""
-    return [
-        RunSpec(key=name, fn=_table2_row, args=(name, ranks, size_scale))
-        for name in APP_REGISTRY
-    ]
-
-
-def run_table2(
-    ranks: int = 42, size_scale: int = 4, jobs: int = 1, progress=None
-) -> list[dict]:
-    outcomes = run_specs(
-        table2_specs(ranks, size_scale), jobs=jobs, progress=progress
-    )
-    return [o.value for o in outcomes]
+def table2_rows(ranks: int = 42, size_scale: int = 4) -> list[dict]:
+    """One row per application trace (deterministic builds: no seed)."""
+    rows = []
+    for name, app in APP_REGISTRY.items():
+        prog = build_app(name, ranks, size_scale=size_scale, iterations=1)
+        rows.append({
+            "name": name,
+            "description": app.description,
+            "load_class": app.load_class,
+            "ranks": ranks,
+            "ops": prog.total_ops,
+            "send_flits": prog.total_send_flits,
+        })
+    return rows
 
 
 def format_table2(rows: list[dict]) -> str:

@@ -200,8 +200,8 @@ def take_captures(since: int = 0) -> list[ObsCapture]:
 
     The sweep executor brackets each point with ``live_mark()`` /
     ``take_captures(mark)`` so a point only collects the networks *it*
-    built; the experiment runner drains the remainder (networks built
-    outside any sweep) with the default ``since=0``.
+    built; code that builds an observed network outside any sweep drains
+    it with the default ``since=0``.
     """
     taken = _LIVE[since:]
     del _LIVE[since:]

@@ -13,6 +13,7 @@ from repro.scenario.spec import (
     ScenarioSpec,
     SingleSwitchTopologySpec,
     TopologySpec,
+    TraceTraffic,
     TrafficSpec,
     UniformAggressorTraffic,
     UniformTraffic,
@@ -31,6 +32,7 @@ __all__ = [
     "ScenarioSpec",
     "SingleSwitchTopologySpec",
     "TopologySpec",
+    "TraceTraffic",
     "TrafficSpec",
     "UniformAggressorTraffic",
     "UniformTraffic",

@@ -23,7 +23,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import asdict, dataclass, replace
-from typing import TYPE_CHECKING, Union
+from typing import TYPE_CHECKING, Any, Union
 
 from repro.engine.config import NetworkConfig, ReliabilityParams, StashParams
 
@@ -40,6 +40,7 @@ __all__ = [
     "ScenarioSpec",
     "SingleSwitchTopologySpec",
     "TopologySpec",
+    "TraceTraffic",
     "TrafficSpec",
     "UniformAggressorTraffic",
     "UniformTraffic",
@@ -150,7 +151,22 @@ class UniformAggressorTraffic:
     kind: str = "uniform_aggressor"
 
 
-TrafficSpec = Union[UniformTraffic, HotspotTraffic, UniformAggressorTraffic]
+@dataclass(frozen=True)
+class TraceTraffic:
+    """Fig. 6 scenario: replay one synthetic MPI application trace
+    (:data:`repro.trace.apps.APP_REGISTRY`), one rank per node, to
+    completion — the scenario's only traffic; cycle engine only."""
+
+    app: str
+    size_scale: int = 4
+    iterations: int = 1
+    max_cycles: int = 2_000_000
+    kind: str = "trace"
+
+
+TrafficSpec = Union[
+    UniformTraffic, HotspotTraffic, UniformAggressorTraffic, TraceTraffic
+]
 
 
 # ----------------------------------------------------------------------
@@ -169,6 +185,8 @@ class ScenarioSpec:
     ``"plain"`` (config used as-is).  ``seed`` overrides the config's
     RNG seed when set — this is the slot the sweep executor's
     per-point derived seed lands in (:mod:`repro.engine.parallel`).
+    ``probes`` names the recorders (:data:`repro.scenario.probes.PROBES`)
+    whose series the cycle engine adds to the result's extras.
     """
 
     config: NetworkConfig
@@ -179,6 +197,7 @@ class ScenarioSpec:
     traffic: tuple[TrafficSpec, ...] = ()
     drain: bool = True
     seed: int | None = None
+    probes: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         if self.variant_kind not in ("plain", "reliability", "congestion"):
@@ -192,6 +211,10 @@ class ScenarioSpec:
         if self.variant_kind == "congestion":
             if self.variant not in CONGESTION_VARIANTS:
                 raise ValueError(f"unknown congestion variant {self.variant!r}")
+        if len(self.traffic) > 1 and any(
+            isinstance(t, TraceTraffic) for t in self.traffic
+        ):
+            raise ValueError("a trace replay must be the scenario's only traffic")
 
     # -- derivation helpers ------------------------------------------------
 
@@ -246,7 +269,7 @@ class ScenarioSpec:
         engines — the cross-validation key that proves both engines ran
         the same scenario.
         """
-        payload = {
+        payload: dict[str, Any] = {
             "config": asdict(self.config),
             "variant_kind": self.variant_kind,
             "variant": self.variant,
@@ -256,6 +279,10 @@ class ScenarioSpec:
             "drain": self.drain,
             "seed": self.seed,
         }
+        if self.probes:
+            # absent when empty: a probe-less spec hashes as it did
+            # before the field existed, so stored results stay valid
+            payload["probes"] = list(self.probes)
         canon = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
@@ -284,6 +311,7 @@ def congestion_scenario(
     traffic: tuple[TrafficSpec, ...] = (),
     topology: TopologySpec | None = None,
     drain: bool = True,
+    probes: tuple[str, ...] = (),
 ) -> ScenarioSpec:
     """A Section VI-B scenario: ECN on, stash variant applied."""
     return ScenarioSpec(
@@ -293,6 +321,7 @@ def congestion_scenario(
         topology=topology if topology is not None else DragonflyTopologySpec(),
         traffic=traffic,
         drain=drain,
+        probes=probes,
     )
 
 
@@ -382,7 +411,8 @@ def apply_traffic(net: "Network", spec: ScenarioSpec) -> None:
                     victim_rate=traffic.victim_rate,
                 )
             )
-        else:
+        elif not isinstance(traffic, TraceTraffic):
+            # (a trace is replayed by the engine, not attached as a source)
             raise TypeError(f"unknown traffic spec {traffic!r}")
 
 

@@ -12,10 +12,12 @@ from __future__ import annotations
 import ast
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -125,7 +127,7 @@ class TestParsing:
     @pytest.mark.parametrize(
         "mutant, match",
         [
-            ({"sweep": "fig6"}, "unknown sweep"),
+            ({"sweep": "fig10"}, "unknown sweep"),
             ({"preset": "huge"}, "unknown preset"),
             ({"engine": "quantum"}, "unknown engine"),
             ({"seeds": ()}, "seeds"),
@@ -159,6 +161,22 @@ class TestParsing:
                 "fig9", preset_by_name("tiny"), {"burst": [1]}, (1,), "flow"
             )
 
+    def test_cycle_only_family_rejects_the_flow_engine_at_expansion(self):
+        """Pairing a cycle-only family with ``engine = "flow"`` fails
+        once, at expansion, naming the family and the fastpath docs —
+        not once per point as ``EngineUnsupported`` from the pool."""
+        for sweep, family in SWEEPS.items():
+            if "flow" in family.engines:
+                continue
+            with pytest.raises(ValueError, match=f"'{sweep}' is cycle-only"):
+                expand_sweep(sweep, preset_by_name("tiny"), {}, (1,), "flow")
+            with pytest.raises(CampaignError, match="docs/FASTPATH.md"):
+                expand_campaign(
+                    Campaign(name="x", sweep=sweep, engine="flow")
+                )
+        assert sorted(n for n, f in SWEEPS.items() if "flow" in f.engines) \
+            == ["fattree", "fig5", "fig9"]
+
     def test_malformed_toml_rejected(self):
         with pytest.raises(CampaignError, match="invalid campaign TOML"):
             parse_campaign_text("just words\n", "toml")
@@ -188,24 +206,48 @@ class TestExpansion:
         assert points[0].key == (1, "baseline", 0.3)
         assert points[4].key == (2, "baseline", 0.3)  # seed-major order
 
-    @pytest.mark.parametrize("seed", [1, 7])
-    @pytest.mark.parametrize("sweep", sorted(SWEEPS))
+    #: the cycle-only families at micro scale: a sliver of the tiny
+    #: preset's windows and the smallest grid each family allows
+    MICRO_WINDOWS = {
+        "warmup_cycles": 100, "measure_cycles": 200, "drain_cycles": 400,
+    }
+    MICRO_AXES = {
+        "fig6": {"apps": ["MiniFE"], "variants": ["baseline", "stash100"],
+                 "size_scale": 1},
+        "fig7": {"variants": ["stash100", "reference"]},
+        "fig8": {},
+        "occupancy": {},
+        "ablation": {"speedups": [1.3], "load": 0.2, "littles_loads": [0.2]},
+    }
+
+    @pytest.mark.parametrize(
+        "sweep, seed",
+        [(sweep, seed) for sweep in sorted(SWEEPS) for seed in (1, 7)
+         if seed == 1 or "flow" in SWEEPS[sweep].engines],
+        ids=lambda value: str(value),
+    )
     def test_runner_rows_equal_campaign_rows(self, sweep, seed, tmp_path):
-        """What ``repro-experiments <sweep> --quick --engine flow --seed
-        N`` computes in memory is, point for point, what the equivalent
-        campaign (``seeds = [N]``) persists and reads back — same cache
-        keys, same results."""
+        """What ``repro-experiments <sweep> --quick --seed N`` computes
+        in memory is, point for point, what the equivalent campaign
+        (``seeds = [N]``) persists and reads back — same cache keys,
+        same results, series-valued extras included (tuples in, tuples
+        out).  Flow-capable families run their ``--quick`` grid on the
+        flow engine; the cycle-only ones a micro grid on the cycle
+        engine."""
         from repro.analysis.campaign import campaign_rows
 
-        rows = run_points(
-            expand_sweep(
-                sweep, quicken(preset_by_name("tiny"), 0.5),
-                QUICK_AXES[sweep], (seed,), "flow",
-            )
-        )
+        flow = "flow" in SWEEPS[sweep].engines
         campaign = Campaign(
-            name="equiv", sweep=sweep, preset="tiny", engine="flow",
-            seeds=(seed,), quick=True, axes=dict(QUICK_AXES[sweep]),
+            name="equiv", sweep=sweep, preset="tiny",
+            engine="flow" if flow else "cycle", seeds=(seed,), quick=True,
+            axes=dict(QUICK_AXES[sweep] if flow else self.MICRO_AXES[sweep]),
+            windows={} if flow else self.MICRO_WINDOWS,
+        )
+        base = quicken(preset_by_name("tiny"), 0.5)
+        if not flow:
+            base = base.with_(sim=replace(base.sim, **self.MICRO_WINDOWS))
+        rows = run_points(
+            expand_sweep(sweep, base, campaign.axes, (seed,), campaign.engine)
         )
         store = ResultStore(tmp_path / "store")
         run_campaign(campaign, store)
@@ -213,13 +255,26 @@ class TestExpansion:
         assert rows and len(rows) == len(stored)
         for (point, result), (cached, loaded) in zip(rows, stored):
             assert point.store_key() == cached.store_key()
-            assert result == loaded
+            if re.search(r"\bnan\b", repr(result)):
+                # only fig7 rows: an idle group's stats (the reference
+                # has no aggressor traffic) and empty time bins are NaN,
+                # unequal to themselves; repr is exact for floats and
+                # tells a tuple from a list
+                assert sweep == "fig7"
+                assert repr(result) == repr(loaded)
+            else:
+                assert result == loaded
+        probed = any(point.spec.probes for point, _ in rows)
+        assert probed == any(
+            isinstance(value, tuple)
+            for _, loaded in stored for _, value in loaded.extras
+        )
 
     def test_one_lowering_and_one_seed_derivation(self):
         """Within ``src/repro`` exactly one ``RunSpec(...)`` binds
-        ``scenario_point`` and engine-sweep seeds are derived at exactly
-        one ``derive_run_seed(`` call site; fig6 and occupancy run their
-        own (non-engine) point functions and are the listed exceptions.
+        ``scenario_point`` and every point's seed is derived at exactly
+        one ``derive_run_seed(`` call site — no experiment has a point
+        function or a seed convention of its own.
         """
         package = REPO / "src" / "repro"
         lowerings, derivations = [], []
@@ -237,11 +292,7 @@ class TestExpansion:
                 ):
                     lowerings.append(rel)
         assert lowerings == ["campaign/spec.py"]
-        assert derivations == [
-            "campaign/spec.py",
-            "experiments/fig6.py",
-            "experiments/occupancy.py",
-        ]
+        assert derivations == ["campaign/spec.py"]
 
     def test_loads_coerced_to_float(self):
         """TOML `1` and `1.0` must label (and therefore seed and hash)
@@ -572,6 +623,19 @@ class TestReportAndCli:
             message = exc.value.code  # a str code exits with status 1
             assert message.startswith(f"invalid campaign {path}: ")
             assert key in message
+
+
+    def test_cli_reports_a_cycle_only_sweep_on_the_flow_engine(
+        self, tmp_path
+    ):
+        path = tmp_path / "fig7_flow.toml"
+        path.write_text(
+            '[campaign]\nname = "x"\nsweep = "fig7"\nengine = "flow"\n'
+        )
+        with pytest.raises(SystemExit) as exc:
+            campaign_main(["show", str(path)])
+        assert exc.value.code.startswith(f"invalid campaign {path}: ")
+        assert "'fig7' is cycle-only" in exc.value.code
 
 
 # ----------------------------------------------------------------------

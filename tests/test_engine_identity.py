@@ -7,14 +7,24 @@ the cycle engine's formatted output — seeds, sweep order, and every
 simulated flit — is byte-identical, so these tests compare whole
 rendered tables, not summary statistics.
 
+The fig6/fig7/fig8/occupancy/ablation goldens were captured the same
+way from the last commit that still had per-experiment ``run_*``
+drivers (fig7/fig8 by calling ``run_fig7``/``run_fig8`` per variant with
+the label-derived seed the sweep now gives that point), so they pin the
+probes and the trace traffic kind against the code they replaced.
+
 If an intentional behaviour change breaks one of these, regenerate the
 golden in the same commit and say so in the commit message.
 """
 
 from __future__ import annotations
 
+import importlib
 from pathlib import Path
 
+import pytest
+
+from repro.campaign.spec import SWEEPS
 from repro.engine.config import SimParams
 from tests.conftest import micro_config, sweep_rows
 
@@ -82,3 +92,41 @@ def test_fattree_byte_identical_to_pre_scenario_capture():
         )
     )
     _assert_matches("fattree_micro.txt", out)
+
+
+@pytest.mark.parametrize(
+    "sweep, axes",
+    [
+        ("fig6", {"apps": ("MiniFE",), "variants": ("baseline", "stash100"),
+                  "size_scale": 2}),
+        ("fig7", {}),
+        ("fig8", {}),
+        ("occupancy", {}),
+        ("ablation", {"speedups": (1.0, 1.3)}),
+    ],
+)
+def test_migrated_experiment_byte_identical_to_run_driver_capture(sweep, axes):
+    rows = sweep_rows(sweep, _golden_config(), axes, seed=3)
+    module = importlib.import_module(SWEEPS[sweep].module)
+    _assert_matches(
+        f"{sweep}_micro.txt", getattr(module, f"format_{sweep}")(rows)
+    )
+
+
+def test_probeless_spec_hash_unchanged_by_the_probes_field():
+    """``probes=()`` stays out of the hash payload, so every spec that
+    existed before the field hashes as it did (pinned from the parent
+    commit) and committed store entries stay addressable."""
+    from dataclasses import replace
+
+    from repro.scenario import UniformTraffic, reliability_scenario
+
+    spec = reliability_scenario(
+        _golden_config(), "stash50", traffic=(UniformTraffic(rate=0.5),)
+    ).with_seed(11)
+    assert spec.probes == ()
+    assert spec.spec_hash() == (
+        "ed7ede261c65f1cea27d45a6cb64e819744245228f48c9a2c504ee7e5f82a9df"
+    )
+    probed = replace(spec, probes=("port_occupancy",))
+    assert probed.spec_hash() != spec.spec_hash()

@@ -1,7 +1,8 @@
 """Experiment harness smoke tests on micro-scale networks.
 
 These verify the harness plumbing (variant construction, sweeps, result
-shapes, formatters); the benchmarks regenerate the real figures.
+shapes, formatters); tests/test_paper_shapes.py (nightly) regenerates
+the real figures and asserts the paper's shapes.
 """
 
 import math
@@ -18,6 +19,7 @@ from repro.experiments.common import (
     quicken,
     reliability_network,
 )
+from repro.scenario import reliability_scenario
 from tests.conftest import micro_config, sweep_rows
 
 
@@ -83,41 +85,79 @@ class TestFig5:
 
 class TestFig6:
     def test_trace_runtimes(self):
-        from repro.experiments.fig6 import format_fig6, run_fig6
+        from repro.experiments.fig6 import format_fig6
 
-        res = run_fig6(
-            fast_base(), apps=("MiniFE",), variants=("baseline", "stash100"),
-            size_scale=2, iterations=1,
+        rows = sweep_rows(
+            "fig6", fast_base(),
+            {"apps": ("MiniFE",), "variants": ("baseline", "stash100"),
+             "size_scale": 2},
         )
-        assert res["MiniFE"]["baseline"] > 0
-        out = format_fig6(res)
-        assert "MiniFE" in out
+        assert [point.key for point, _ in rows] == [
+            (1, "baseline", "MiniFE"), (1, "stash100", "MiniFE")
+        ]
+        for _point, r in rows:
+            # the replay ran inside one measurement window: its runtime
+            # is the whole simulation (the finish cycle is the last one
+            # stepped), and every packet was measured
+            assert r.extra("trace_runtime") == r.cycles - 1 > 0
+            assert r.packets_measured > 0
+        assert "MiniFE" in format_fig6(rows)
+
+    def test_axes_rejected_before_any_replay(self):
+        from repro.campaign.spec import expand_sweep
+
+        for axes, match in [
+            ({"variants": ["stash100"]}, "must include 'baseline'"),
+            ({"apps": ["MiniFE", "HPL"]}, r"unknown \['HPL'\]"),
+        ]:
+            with pytest.raises(ValueError, match=match):
+                expand_sweep("fig6", fast_base(), axes, (1,), "cycle")
 
 
 class TestFig7:
     def test_transient_series(self):
-        from repro.experiments.fig7 import format_fig7, run_fig7
+        from repro.experiments.fig7 import format_fig7
 
-        res = run_fig7(
-            fast_base(), variants=("baseline",), include_reference=False,
-            victim_rate=0.25,
+        rows = sweep_rows(
+            "fig7", fast_base(),
+            {"variants": ("baseline",), "victim_rate": 0.25},
         )
-        r = res["baseline"]
-        assert r.time.size > 0
-        assert r.mean_latency > 0
-        assert not math.isnan(r.p99_latency)
-        assert "baseline" in format_fig7(res)
+        [(point, r)] = rows
+        assert point.label == "fig7:baseline"
+        assert len(r.series("victim_time")) == len(
+            r.series("victim_avg_latency")) > 0
+        assert len(r.series("victim_icdf_latency")) == 200
+        victim = r.group("victim")
+        assert victim.mean > 0
+        assert not math.isnan(victim.p99)
+        with pytest.raises(TypeError, match="series"):
+            r.extra("victim_time")
+        assert "baseline" in format_fig7(rows)
+
+    def test_reference_runs_the_baseline_without_aggressors(self):
+        from repro.campaign.spec import expand_sweep
+
+        points = expand_sweep("fig7", fast_base(), {}, (1,), "cycle")
+        assert [p.key[1] for p in points] == [
+            "baseline", "stash100", "stash50", "reference"
+        ]
+        base, ref = points[0].spec, points[-1].spec
+        assert ref.variant == "baseline"
+        assert base.traffic[0].aggressor_start == 200 + int(0.2 * 800)
+        assert ref.traffic[0].aggressor_start > 10**8
 
 
 class TestFig8:
     def test_probe_series(self):
-        from repro.experiments.fig8 import format_fig8, run_fig8
+        from repro.experiments.fig8 import format_fig8
 
-        res = run_fig8(fast_base(), variant="stash100", victim_rate=0.25)
-        assert res.time.size > 0
-        assert res.aggressor_load.max() > 0
-        assert 0 <= res.peak_utilization <= 1.0
-        assert "stash" in format_fig8(res).lower()
+        rows = sweep_rows("fig8", fast_base(), {"victim_rate": 0.25})
+        [(point, r)] = rows
+        assert point.key == (1, "stash100")
+        assert len(r.series("stash_time")) > 0
+        assert max(r.series("aggressor_load")) > 0
+        assert 0 <= max(r.series("stash_utilization")) <= 1.0
+        assert "stash" in format_fig8(rows).lower()
 
 
 class TestFig9:
@@ -145,57 +185,97 @@ class TestTables:
         assert "72" in format_table1(res)
 
     def test_table2(self):
-        from repro.experiments.tables import format_table2, run_table2
+        from repro.experiments.tables import format_table2, table2_rows
 
-        rows = run_table2(ranks=12, size_scale=2)
+        rows = table2_rows(ranks=12, size_scale=2)
         assert len(rows) == 6
         assert all(r["ops"] > 0 for r in rows)
         assert "BIGFFT" in format_table2(rows)
 
 
 class TestAblations:
-    def test_speedup_ablation(self):
-        from repro.experiments.ablations import run_speedup_ablation
+    @pytest.fixture(scope="class")
+    def rows(self):
+        return sweep_rows(
+            "ablation", fast_base(),
+            {"speedups": (1.0, 1.3), "load": 0.3, "variant": "stash100"},
+        )
 
-        rows = run_speedup_ablation(fast_base(), speedups=(1.0, 1.3),
-                                    load=0.3)
-        assert [s for s, _, _ in rows] == [1.0, 1.3]
-        assert all(acc > 0 for _, acc, _ in rows)
+    def test_speedup_ablation(self, rows):
+        speedup = [(p.key, r) for p, r in rows if p.key[1] == "speedup"]
+        assert [key[2] for key, _ in speedup] == [1.0, 1.3]
+        assert all(r.accepted_load > 0 for _, r in speedup)
 
-    def test_placement_ablation(self):
-        from repro.experiments.ablations import run_placement_ablation
+    def test_placement_ablation(self, rows):
+        placement = {p.key[2]: p for p, _ in rows if p.key[1] == "placement"}
+        assert set(placement) == {"jsq", "random"}
+        for policy, point in placement.items():
+            assert point.spec.config.stash.placement == policy
+            assert point.spec.config.stash.capacity_scale == 0.5
 
-        res = run_placement_ablation(fast_base(), load=0.3,
-                                     capacity_scale=0.5)
-        assert set(res) == {"jsq", "random"}
+    def test_littles_prediction_uses_the_simulated_variant(self, rows):
+        """Regression (A1): the bound's flits-per-endpoint come from the
+        network that was simulated.  The parent picked the network with
+        ``"stash25" if capacity_scale == 0.25 else "stash50"`` — asked
+        for full capacity it simulated stash50 against a scale-1.0
+        bound."""
+        from repro.analysis.littles_law import stash_per_endpoint_flits
+        from repro.experiments.ablations import (
+            format_ablation,
+            littles_law_check,
+        )
+
+        littles = [(p, r) for p, r in rows if p.key[1] == "littles"]
+        assert [p.key[2] for p, _ in littles] == [0.2, 0.7]
+        for point, _ in littles:
+            assert point.spec.variant == "stash100"
+            assert point.spec.resolved_config().stash.capacity_scale == 1.0
+        check = littles_law_check(littles)
+        full = reliability_scenario(fast_base(), "stash100").resolved_config()
+        assert check["stash_flits_per_endpoint"] == \
+            stash_per_endpoint_flits(full)
+        assert f"({check['stash_flits_per_endpoint']:.0f} flits/endpoint" \
+            in format_ablation(rows)
+
+    def test_variant_must_stash(self):
+        from repro.campaign.spec import expand_sweep
+
+        for variant in ("baseline", "stash33"):
+            with pytest.raises(ValueError, match="stashing reliability"):
+                expand_sweep("ablation", fast_base(), {"variant": variant},
+                             (1,), "cycle")
 
 
 class TestOccupancy:
     def test_census_rows(self):
-        from repro.experiments.occupancy import (
-            format_occupancy,
-            run_occupancy_census,
-        )
+        from repro.experiments.occupancy import format_occupancy
 
-        rows = run_occupancy_census(fast_base(), load=0.4)
-        classes = [r.link_class for r in rows]
-        assert classes == ["endpoint", "local", "global"]
-        for r in rows:
-            assert 0 <= r.peak_flits <= r.capacity_flits
-            assert 0.0 <= r.idle_fraction <= 1.0
-        assert "idle" in format_occupancy(rows)
+        rows = sweep_rows("occupancy", fast_base(), {"loads": (0.4,)})
+        [(point, r)] = rows
+        assert point.key == (1, "census", 0.4)
+        capacity = 96 + 96
+        for link_class in ("endpoint", "local", "global"):
+            peaks = r.series(f"port_peaks_{link_class}")
+            assert len(peaks) == 6
+            assert all(0 <= peak <= capacity for peak in peaks)
+        out = format_occupancy(rows)
+        assert "idle" in out
+        # the header names the load that was simulated (the parent
+        # printed its default, "load 0.6", whatever ran)
+        assert "load 0.4)" in out.splitlines()[0]
 
     def test_census_matches_independent_probe(self):
         """Regression guard for the Timeline migration: the census must
         report exactly what a hand-rolled sampler measures on a
         duplicate network run under the same derived seed."""
         from repro.engine.parallel import derive_run_seed
-        from repro.experiments.occupancy import run_occupancy_census
         from repro.network import Network
 
         base, load, seed, period = fast_base(), 0.4, 1, 20
-        rows = run_occupancy_census(base, load=load, seed=seed,
-                                    sample_period=period)
+        [(point, result)] = sweep_rows(
+            "occupancy", base, {"loads": (load,)}, seed=seed
+        )
+        assert point.spec.config.sim.sample_period == period
 
         cfg = base.with_(sim=replace(
             base.sim, seed=derive_run_seed(seed, f"occupancy:{load!r}")))
@@ -224,13 +304,9 @@ class TestOccupancy:
         net.sim.add_sampler(period, sample)
         net.sim.run(cfg.sim.warmup_cycles + cfg.sim.measure_cycles)
 
-        for r in rows:
-            per_port = samples[r.link_class]
-            peaks = [max(vals) for vals in per_port]
-            assert r.ports == len(peaks)
-            assert r.peak_flits == max(peaks)
-            assert r.mean_peak_flits == pytest.approx(
-                sum(peaks) / len(peaks))
+        for link_class, per_port in samples.items():
+            peaks = tuple(float(max(vals)) for vals in per_port)
+            assert result.series(f"port_peaks_{link_class}") == peaks
 
 
 class TestFatTreeExperiment:
@@ -313,7 +389,8 @@ class TestRunnerCli:
         """`--seed N` must reach the sweep: every point's seed is
         `derive_run_seed(N, label)`, and the points are exactly those of
         a `seeds = [N]` campaign (the flag used to rewrite a config slot
-        that every sweep then overrode from its own `seed=1` default)."""
+        that every sweep then overrode from its own `seed=1` default;
+        fig7/fig8 then ran on the raw `--seed`)."""
         from repro.campaign import Campaign, expand_campaign
         from repro.engine.parallel import derive_run_seed
         from repro.experiments import runner
@@ -340,6 +417,22 @@ class TestRunnerCli:
             p.store_key() for p in expand_campaign(campaign)
         ]
 
+        # a probed, cycle-only family takes the same route (expansion
+        # only: the tiny-preset run itself is ~10 s; no rows render "")
+        del ran[:]
+        monkeypatch.setattr(
+            runner, "run_points",
+            lambda points, **kwargs: ran.extend(points) or [],
+        )
+        assert runner.main(["fig8", "--quick", "--seed", "7"]) == 0
+        [point] = ran
+        assert point.label == "fig8:stash100"
+        assert point.derived_seed == derive_run_seed(7, "fig8:stash100")
+        campaign = Campaign(name="f8", sweep="fig8", seeds=(7,), quick=True)
+        assert [point.store_key()] == [
+            p.store_key() for p in expand_campaign(campaign)
+        ]
+
     def test_flow_rejection_names_the_limitation(self, capsys):
         """`--engine flow` on a transient experiment must explain *why*
         (steady-state fluid model, no time-stepped mode) and point at
@@ -352,3 +445,18 @@ class TestRunnerCli:
         assert "transients" in err
         assert "time-stepped" in err
         assert "docs/FASTPATH.md" in err
+
+    @pytest.mark.parametrize("name", ["table1", "table2", "all"])
+    def test_flow_rejected_for_the_analytic_tables(self, name, capsys):
+        """The tables build no network, so an engine choice cannot apply
+        to them: refused (usage error, nothing run), never ignored."""
+        from repro.experiments.runner import main
+
+        with pytest.raises(SystemExit) as exit_info:
+            main([name, "--engine", "flow"])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        refused = "table2" if name == "table2" else "table1"  # all: the first
+        assert f"{refused} is analytic" in captured.err
+        assert "--engine flow does not apply" in captured.err
+        assert captured.out == ""

@@ -149,6 +149,20 @@ def test_flow_rejects_unknown_traffic():
         _flow(spec)
 
 
+def test_flow_refuses_trace_replays_and_probes_by_name():
+    from repro.scenario import TraceTraffic
+
+    trace = ScenarioSpec(config=micro_config(),
+                         traffic=(TraceTraffic("MiniFE"),))
+    with pytest.raises(EngineUnsupported, match="TraceTraffic"):
+        _flow(trace)
+    probed = ScenarioSpec(config=micro_config(),
+                          traffic=(UniformTraffic(rate=0.3),),
+                          probes=("port_occupancy",))
+    with pytest.raises(EngineUnsupported, match="port_occupancy"):
+        _flow(probed)
+
+
 def test_flow_fig5_jobs_byte_identical():
     """A fig5 sweep through the fastpath must produce identical results
     for serial and 4-way-parallel execution (the determinism contract

@@ -14,12 +14,10 @@ import random
 from contextlib import redirect_stdout
 from dataclasses import replace
 
-import numpy as np
 import pytest
 
 from repro.engine.config import SimParams
 from repro.experiments.fig5 import format_fig5
-from repro.experiments.fig7 import run_fig7
 from repro.experiments.common import congestion_network, reliability_network
 from repro.obs import harvest
 from repro.traffic.generators import BernoulliSource
@@ -57,23 +55,20 @@ def test_fig5_quick_output_identical_across_kernels():
 
 
 def test_fig7_results_identical_across_kernels():
-    by_kernel = {}
-    for kernel in ("polling", "event"):
-        by_kernel[kernel] = run_fig7(
-            _base(kernel), victim_rate=0.3, seed=3, total_cycles=1200
+    by_kernel = {
+        kernel: sweep_rows(
+            "fig7", _base(kernel), {"victim_rate": 0.3}, seed=3
         )
+        for kernel in ("polling", "event")
+    }
     polling, event = by_kernel["polling"], by_kernel["event"]
-    assert polling.keys() == event.keys()
-    for variant in polling:
-        p, e = polling[variant], event[variant]
+    assert [p.key for p, _ in polling] == [p.key for p, _ in event]
+    for (point, p), (_, e) in zip(polling, event):
         # exact equality on purpose: the kernels must not diverge by
-        # even one sample (simlint float-equality rule does not apply to
-        # identity assertions in tests)
-        assert np.array_equal(p.time, e.time), variant
-        assert np.array_equal(p.avg_latency, e.avg_latency, equal_nan=True), variant
-        assert np.array_equal(p.icdf_latency, e.icdf_latency), variant
-        assert p.mean_latency == pytest.approx(e.mean_latency, abs=0.0), variant
-        assert p.p99_latency == pytest.approx(e.p99_latency, abs=0.0), variant
+        # even one sample of the time series, the ICDF or the victim
+        # group's summary
+        assert p.series("victim_time"), point.key
+        assert p == e, point.key
 
 
 def _latency_samples(kernel: str, variant: str, rate: float, seed: int):

@@ -263,6 +263,21 @@ class TestTraceDeterminism:
         assert '"schema":"repro.obs.trace"' in header
         assert '"runs":3' in header
 
+    def test_fig7_trace_bytes_identical_jobs_1_vs_2(self):
+        """Every fig7 network is built inside a sweep point, so its
+        events reach the run log (they never did while fig7 built its
+        networks in the runner's own process) in point order."""
+        from repro.analysis.obsview import trace_lines
+        from tests.conftest import sweep_rows
+
+        def traced(jobs: int) -> list[str]:
+            sweep_rows("fig7", obs_config(trace=True), {}, jobs=jobs)
+            return list(trace_lines(drain_run_log()))
+
+        serial = traced(1)
+        assert '"runs":4' in serial[0]
+        assert serial == traced(2)
+
     def test_run_log_orders_by_spec_not_completion(self):
         _sweep_trace(4)  # drained internally; log must now be empty
         assert drain_run_log() == []
