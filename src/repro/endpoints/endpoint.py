@@ -58,6 +58,8 @@ class Endpoint:
         "acks_enabled",
         "_pending_acks",
         "sources",
+        "_source_nacs",
+        "backlog_flits",
         "flits_generated",
         "flits_injected",
         "flits_ejected",
@@ -102,6 +104,9 @@ class Endpoint:
         self.acks_enabled = network.acks_enabled
         self._pending_acks: dict[int, tuple[int, int]] = {}  # pid -> (dst, size)
         self.sources: list[TrafficSource] = []
+        # each source's next_active_cycle (None: it has none to report)
+        self._source_nacs: list[Callable[..., int | None] | None] = []
+        self.backlog_flits = 0  # flits waiting in send_queues
 
         self.flits_generated = 0
         self.flits_injected = 0
@@ -164,6 +169,7 @@ class Endpoint:
             seq += 1
             remaining -= pkt_size
         msg.packets_total = seq
+        self.backlog_flits += size_flits
         self.flits_generated += size_flits
         net.on_generated(size_flits)
         # external posters (trace replay, tests) may target a sleeping
@@ -171,9 +177,16 @@ class Endpoint:
         net.sim.wake_component(self, cycle)
         return msg
 
+    def add_source(self, source: "TrafficSource") -> None:
+        """Attach a source; ``Network.add_source`` owns the wake."""
+        self.sources.append(source)
+        self._source_nacs.append(getattr(source, "next_active_cycle", None))
+
     @property
-    def backlog_flits(self) -> int:
-        return sum(p.size for q in self.send_queues.values() for p in q)
+    def rng_shared(self) -> bool:
+        """True when a source is not the sole consumer of ``rng`` (a
+        second source, ``_deliver``'s corruption draws)."""
+        return len(self.sources) > 1 or self.net.error_rate > 0.0
 
     @property
     def idle(self) -> bool:
@@ -209,11 +222,10 @@ class Endpoint:
         ):
             return cycle + 1
         wake: int | None = None
-        for source in self.sources:
-            nac = getattr(source, "next_active_cycle", None)
+        for nac in self._source_nacs:
             if nac is None:
                 return cycle + 1  # unknown source: never skip it
-            when = nac(cycle)
+            when = nac(self, cycle)
             if when is not None:
                 if when <= cycle + 1:
                     return cycle + 1
@@ -389,6 +401,7 @@ class Endpoint:
                 self._rr_dsts.rotate(-1)
                 continue
             queue.popleft()
+            self.backlog_flits -= pkt.size
             self._rr_dsts.rotate(-1)
             self.ecn.on_inject(dst, pkt.size)
             self._pending_acks[pkt.pid] = (dst, pkt.size)

@@ -9,8 +9,10 @@ warmup handling.
 from __future__ import annotations
 
 import math
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np  # at run time, only inside the two users below
 
 __all__ = ["LatencyStats", "RateMeter", "TimeSeries"]
 
@@ -77,6 +79,7 @@ class LatencyStats:
 
         Returns ``(latencies, fractions)`` suitable for a semilog-y plot.
         """
+        import numpy as np
         data = np.asarray(self._ensure_sorted(), dtype=float)
         if data.size == 0:
             return np.empty(0), np.empty(0)
@@ -164,6 +167,7 @@ class TimeSeries:
 
     def series(self) -> tuple[np.ndarray, np.ndarray]:
         """(bin centre, bin mean) arrays over the recorded span."""
+        import numpy as np
         if not self._sums:
             return np.empty(0), np.empty(0)
         first = min(self._sums)

@@ -314,7 +314,7 @@ class Network:
         )
         for n in targets:
             ep = self.endpoints[n]
-            ep.sources.append(source)
+            ep.add_source(source)
             # a sleeping endpoint must re-evaluate next_active_cycle now
             # that it has a new source to poll
             self.sim.wake_component(ep, self.sim.cycle)

@@ -18,6 +18,10 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = ["BernoulliSource", "BurstSource", "TrafficSource"]
 
+#: how many cycles ahead a Bernoulli source that owns its endpoint's RNG
+#: stream draws before giving up on a hit and letting the endpoint wake
+DRAW_AHEAD_HORIZON = 4096
+
 
 class TrafficSource(Protocol):
     """Structural interface every injection process implements.
@@ -33,8 +37,8 @@ class TrafficSource(Protocol):
         """True when the source may inject at ``cycle``."""
         ...
 
-    def next_active_cycle(self, cycle: int) -> int | None:
-        """Earliest cycle > ``cycle`` with work, or None to idle."""
+    def next_active_cycle(self, endpoint: Endpoint, cycle: int) -> int | None:
+        """Earliest cycle > ``cycle`` with work here, or None to idle."""
         ...
 
     def generate(self, endpoint: "Endpoint", cycle: int) -> None:
@@ -65,16 +69,23 @@ class BernoulliSource:
         self.stop = stop
         self.tag = tag
         self.prob = rate / msg_flits
+        # endpoint -> (hit cycle, dst) waiting to be posted, or (last
+        # cycle drawn, None) after a horizon of misses
+        self._next: dict[Endpoint, tuple[int, int | None]] = {}
 
     def active(self, cycle: int) -> bool:
         return cycle >= self.start and (self.stop is None or cycle < self.stop)
 
-    def next_active_cycle(self, cycle: int) -> int | None:
-        """Wake-list contract: Bernoulli draws consume one RNG sample on
-        every active cycle, so the endpoint may never sleep through the
-        active window; outside it, sleep until ``start`` (or forever)."""
+    def next_active_cycle(self, endpoint: Endpoint, cycle: int) -> int | None:
+        """Wake-list contract: a pure read of the schedule entry — the
+        pending hit's cycle, else the first cycle not drawn yet."""
         if self.prob <= 0.0:
             return None
+        when, dst = self._next.get(endpoint, (-1, None))
+        if when > cycle:
+            if dst is not None:
+                return when  # the drawn hit
+            cycle = when  # a horizon of misses: drawn through ``when``
         nxt = cycle + 1
         if nxt < self.start:
             return self.start
@@ -85,9 +96,29 @@ class BernoulliSource:
     def generate(self, endpoint: "Endpoint", cycle: int) -> None:
         if not self.active(cycle) or self.prob <= 0.0:
             return
-        if endpoint.rng.random() < self.prob:
-            dst = self.pattern(endpoint.node, endpoint.rng)
+        when, dst = self._next.get(endpoint, (-1, None))
+        if when < cycle:
+            when, dst = self._next[endpoint] = self._draw_ahead(endpoint, cycle)
+        if when == cycle and dst is not None:
             endpoint.post_message(dst, self.msg_flits, cycle, tag=self.tag)
+
+    def _draw_ahead(
+        self, endpoint: Endpoint, cycle: int
+    ) -> tuple[int, int | None]:
+        """Draw the uniforms of ``cycle, cycle + 1, ...`` in per-cycle
+        order up to the first hit (its destination drawn right after it)
+        or the horizon.  The sequence is the per-cycle process's only
+        while this source is the stream's sole consumer; on a shared
+        stream the horizon is one cycle — that process itself."""
+        end = cycle + (1 if endpoint.rng_shared else DRAW_AHEAD_HORIZON)
+        if self.stop is not None and end > self.stop:
+            end = self.stop
+        draw = endpoint.rng.random
+        prob = self.prob
+        for when in range(cycle, end):
+            if draw() < prob:
+                return when, self.pattern(endpoint.node, endpoint.rng)
+        return end - 1, None
 
 
 class BurstSource:
@@ -121,7 +152,7 @@ class BurstSource:
     def active(self, cycle: int) -> bool:
         return cycle >= self.start and (self.stop is None or cycle < self.stop)
 
-    def next_active_cycle(self, cycle: int) -> int | None:
+    def next_active_cycle(self, endpoint: Endpoint, cycle: int) -> int | None:
         """Wake-list contract: a closed-loop source refills the NIC
         backlog on any active cycle, so it keeps the endpoint awake for
         the whole active window."""

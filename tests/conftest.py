@@ -167,3 +167,6 @@ def drain_and_check(net: Network, max_cycles: int = 60000) -> None:
     assert c["network.messages.posted"] == posted
     assert c["switch.datapath.flits_in_flight"] == 0
     assert c["switch.stash.committed_flits"] == 0
+    for ep in net.endpoints:
+        queued = sum(p.size for q in ep.send_queues.values() for p in q)
+        assert ep.backlog_flits == queued == 0

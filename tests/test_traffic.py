@@ -71,6 +71,7 @@ class FakeEndpoint:
         self.rng = random.Random(seed)
         self.posted = []
         self.backlog_flits = 0
+        self.rng_shared = False  # the source owns the stream: draw ahead
 
     def post_message(self, dst, size, cycle, tag=0, on_complete=None):
         self.posted.append((dst, size, cycle, tag))

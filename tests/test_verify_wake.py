@@ -104,6 +104,21 @@ def test_add_source_wakes_a_sleeping_endpoint(micro_net):
     assert sum(ep.flits_generated for ep in micro_net.endpoints) > 0
 
 
+def test_source_without_a_schedule_is_polled_every_cycle(micro_net):
+    """A source object with no ``next_active_cycle`` keeps its endpoint
+    stepping every cycle, from the cycle it was attached."""
+    polled: list[int] = []
+
+    class Bare:
+        def generate(self, endpoint, cycle):
+            polled.append(cycle)
+
+    micro_net.sim.run(500)  # the endpoint is asleep by now
+    micro_net.add_source(Bare(), [0])
+    micro_net.sim.run(50)
+    assert polled == list(range(500, 550))
+
+
 @pytest.mark.shadow_off
 @pytest.mark.parametrize("trial", range(4))
 def test_fuzz_verify_wake_clean_and_invisible(trial):

@@ -78,11 +78,13 @@ assert msg.delivered, "posted message not delivered"
 """
 
 
-def _run_scenario(package_parent: Path) -> subprocess.CompletedProcess:
+def _run_scenario(
+    package_parent: Path, scenario: str = SCENARIO
+) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join([str(package_parent), str(REPO)])
     return subprocess.run(
-        [sys.executable, "-c", SCENARIO],
+        [sys.executable, "-c", scenario],
         env=env, capture_output=True, text=True, timeout=120,
     )
 
