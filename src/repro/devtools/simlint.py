@@ -22,23 +22,11 @@ SIM005    falsy-``or`` defaulting of a ``None``-default parameter
           (``rng or ...``); use ``if x is None`` so falsy values survive
 SIM006    mutable default argument values
 SIM007    float ``==`` / ``!=`` comparisons in ``analysis/`` metrics
-SIM008    missing docstrings on the public API (module docstring,
-          exported defs/classes, and their public methods) of modules
-          in ``engine/`` / ``switch/`` / ``obs/`` that declare
-          ``__all__``
-SIM009    direct write to another component's wake-relevant state
-          (``_queue``, ``pending``, ``sources``, ...) through a
-          function parameter; route it through a method of the owner
-          that pairs the wake (see ``docs/WAKE_CONTRACT.md``)
-SIM010    ``next_active_cycle`` implementations that draw from an RNG
-          or mutate state; the wake probe must be pure so the event
-          kernel (and ``verify_wake``) may call it at any time
 ========  ============================================================
 
 Usage::
 
     python -m repro.devtools.simlint src [tests ...]
-    python -m repro.devtools.simlint --format json src
     python -m repro.devtools.simlint --list-rules
 
 Suppressions: append ``# simlint: disable=SIM001`` (comma-separated list
@@ -53,7 +41,6 @@ from __future__ import annotations
 
 import argparse
 import ast
-import json
 import re
 import sys
 from dataclasses import dataclass
@@ -65,7 +52,6 @@ __all__ = [
     "EXIT_ERROR",
     "EXIT_VIOLATIONS",
     "RULES",
-    "SCHEMA_VERSION",
     "Violation",
     "lint_file",
     "lint_paths",
@@ -73,7 +59,6 @@ __all__ = [
     "main",
 ]
 
-SCHEMA_VERSION = 1
 EXIT_CLEAN = 0
 EXIT_VIOLATIONS = 1
 EXIT_ERROR = 2
@@ -129,27 +114,6 @@ RULES: tuple[RuleInfo, ...] = (
         "float == / != in analysis metrics is representation-dependent; "
         "compare with math.isclose or an explicit tolerance",
     ),
-    RuleInfo(
-        "SIM008",
-        "missing-docstring",
-        "modules in engine/, switch/ and obs/ that declare __all__ are "
-        "public API; the module, every exported def/class, and every "
-        "public method of an exported class must carry a docstring",
-    ),
-    RuleInfo(
-        "SIM009",
-        "foreign-wake-state-write",
-        "writing another component's wake-relevant state through a "
-        "parameter bypasses the owner's wake pairing; call a method of "
-        "the owner instead (docs/WAKE_CONTRACT.md)",
-    ),
-    RuleInfo(
-        "SIM010",
-        "impure-wake-probe",
-        "next_active_cycle must be a pure read: the event kernel and "
-        "verify_wake shadow mode may invoke it at any cycle, so RNG "
-        "draws or state mutations there diverge the simulation",
-    ),
 )
 
 RULE_IDS = frozenset(r.rule_id for r in RULES)
@@ -159,9 +123,6 @@ HOT_PATH_DIRS = frozenset({"switch", "engine", "routing"})
 
 #: directories whose files are subject to SIM007
 ANALYSIS_DIRS = frozenset({"analysis"})
-
-#: directories whose ``__all__``-declaring modules are subject to SIM008
-DOC_API_DIRS = frozenset({"engine", "switch", "obs"})
 
 #: module stems exempt from SIM001/SIM004 (the one sanctioned RNG home)
 RNG_HOME_STEMS = frozenset({"rng"})
@@ -185,24 +146,6 @@ _DATETIME_ATTRS = frozenset({"now", "utcnow", "today"})
 #: random-module attributes that are *not* global-RNG draws
 _RANDOM_SAFE_ATTRS = frozenset({"Random", "SystemRandom"})
 
-#: wake-relevant attribute names SIM009 protects from foreign writes:
-#: the names whose mutation changes a component's ``next_active_cycle``
-#: answer (docs/WAKE_CONTRACT.md).
-_WAKE_STATE_ATTRS = frozenset(
-    {"_queue", "pending", "sources", "replay", "retrieval_queue",
-     "_paced_retransmits", "credits", "_blocked"}
-)
-
-#: container methods that mutate their receiver in place (SIM009/SIM010)
-_MUTATOR_METHODS = frozenset(
-    {"append", "appendleft", "extend", "extendleft", "insert", "add",
-     "update", "pop", "popleft", "remove", "discard", "clear", "rotate",
-     "setdefault", "sort", "reverse"}
-)
-
-#: name segments that identify an RNG receiver in SIM010
-_RNG_SEGMENTS = frozenset({"rng", "_rng", "random"})
-
 _SUPPRESS_RE = re.compile(
     r"#\s*simlint:\s*(disable|disable-file)\s*=\s*([A-Za-z0-9_,\s]+)"
 )
@@ -221,14 +164,6 @@ class Violation:
     def render(self) -> str:
         return f"{self.path}:{self.line}:{self.col}: {self.rule_id} {self.message}"
 
-    def to_json(self) -> dict[str, object]:
-        return {
-            "rule": self.rule_id,
-            "path": self.path,
-            "line": self.line,
-            "col": self.col,
-            "message": self.message,
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -279,36 +214,10 @@ def _call_name(node: ast.expr) -> str | None:
     return None
 
 
-def _module_all_names(tree: ast.Module) -> set[str] | None:
-    """The string literals of a top-level ``__all__`` list/tuple
-    assignment, or None when the module declares no ``__all__``."""
-    for node in tree.body:
-        if not isinstance(node, ast.Assign):
-            continue
-        for target in node.targets:
-            if isinstance(target, ast.Name) and target.id == "__all__":
-                if isinstance(node.value, (ast.List, ast.Tuple)):
-                    return {
-                        elt.value
-                        for elt in node.value.elts
-                        if isinstance(elt, ast.Constant)
-                        and isinstance(elt.value, str)
-                    }
-                return set()
-    return None
-
-
 class _FunctionScope:
     def __init__(self, node: ast.FunctionDef | ast.AsyncFunctionDef) -> None:
         args = node.args
         positional = args.posonlyargs + args.args
-        self.name = node.name
-        # parameter names excluding the receiver (SIM009 roots)
-        self.params: set[str] = {a.arg for a in positional + args.kwonlyargs}
-        for star in (args.vararg, args.kwarg):
-            if star is not None:
-                self.params.add(star.arg)
-        self.params -= {"self", "cls"}
         # parameters whose declared default is the literal None
         self.none_default_params: set[str] = set()
         for arg, default in zip(positional[len(positional) - len(args.defaults):],
@@ -336,7 +245,6 @@ class _Checker(ast.NodeVisitor):
         parts = frozenset(path.parts[:-1])
         self.in_hot_path = bool(parts & HOT_PATH_DIRS)
         self.in_analysis = bool(parts & ANALYSIS_DIRS)
-        self.in_doc_api = bool(parts & DOC_API_DIRS)
         self.is_rng_home = self.stem in RNG_HOME_STEMS
         self.wall_clock_ok = WALL_CLOCK_WHITELIST.get(self.stem, frozenset())
         self.violations: list[Violation] = []
@@ -347,7 +255,6 @@ class _Checker(ast.NodeVisitor):
                 self._parents[child] = parent
         self._set_bound: set[str] = set()
         self._collect_set_bindings(tree)
-        self._check_docstrings(tree)
 
     # -- plumbing -------------------------------------------------------
 
@@ -425,13 +332,6 @@ class _Checker(ast.NodeVisitor):
         if callee is not None:
             self._check_random_call(node, callee)
             self._check_wall_clock(node, callee)
-        if isinstance(node.func, ast.Attribute):
-            if node.func.attr in _MUTATOR_METHODS:
-                self._check_foreign_wake_write(node.func.value, node)
-                self._check_probe_mutation(
-                    node.func.value, node, f"{node.func.attr}() call"
-                )
-            self._check_probe_rng(node)
         self.generic_visit(node)
 
     def _check_random_call(self, node: ast.Call, callee: str) -> None:
@@ -602,160 +502,6 @@ class _Checker(ast.NodeVisitor):
                     "default to None and construct inside the body",
                 )
 
-    # -- SIM008: public-API docstrings ----------------------------------
-
-    def _check_docstrings(self, tree: ast.Module) -> None:
-        """Modules under engine/, switch/ or obs/ that declare ``__all__``
-        opt into the public-API contract: the module itself, every
-        exported top-level def/class, and every public (non-underscore)
-        method of an exported class must have a docstring."""
-        if not self.in_doc_api:
-            return
-        exported = _module_all_names(tree)
-        if exported is None:
-            return
-        if ast.get_docstring(tree) is None:
-            self._flag(
-                "SIM008",
-                tree,
-                "module declares __all__ but has no module docstring",
-            )
-        for node in tree.body:
-            if not isinstance(
-                node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-            ):
-                continue
-            if node.name not in exported:
-                continue
-            kind = "class" if isinstance(node, ast.ClassDef) else "function"
-            if ast.get_docstring(node) is None:
-                self._flag(
-                    "SIM008",
-                    node,
-                    f"exported {kind} {node.name} has no docstring",
-                )
-            if isinstance(node, ast.ClassDef):
-                for member in node.body:
-                    if not isinstance(
-                        member, (ast.FunctionDef, ast.AsyncFunctionDef)
-                    ):
-                        continue
-                    if member.name.startswith("_"):
-                        continue  # private and dunder methods are exempt
-                    if ast.get_docstring(member) is None:
-                        self._flag(
-                            "SIM008",
-                            member,
-                            f"public method {node.name}.{member.name} "
-                            "has no docstring",
-                        )
-
-    # -- SIM009 / SIM010: wake-contract hygiene -------------------------
-
-    @staticmethod
-    def _receiver_chain(node: ast.expr) -> tuple[str | None, list[str]]:
-        """Root name and attribute names (outermost last) of a dotted /
-        indexed chain: ``comp.links[0].pending`` -> ("comp",
-        ["links", "pending"])."""
-        attrs: list[str] = []
-        while True:
-            if isinstance(node, ast.Attribute):
-                attrs.append(node.attr)
-                node = node.value
-            elif isinstance(node, ast.Subscript):
-                node = node.value
-            else:
-                break
-        if isinstance(node, ast.Name):
-            return node.id, attrs[::-1]
-        return None, attrs[::-1]
-
-    def _check_state_write(self, target: ast.expr) -> None:
-        """Route one assignment target through SIM009 and SIM010."""
-        if isinstance(target, (ast.Tuple, ast.List)):
-            for elt in target.elts:
-                self._check_state_write(elt)
-            return
-        if isinstance(target, ast.Starred):
-            self._check_state_write(target.value)
-            return
-        if isinstance(target, (ast.Attribute, ast.Subscript)):
-            self._check_foreign_wake_write(target, target)
-            self._check_probe_mutation(target, target, "assignment")
-
-    def visit_Assign(self, node: ast.Assign) -> None:
-        for target in node.targets:
-            self._check_state_write(target)
-        self.generic_visit(node)
-
-    def visit_AnnAssign(self, node: ast.AnnAssign) -> None:
-        if node.value is not None:
-            self._check_state_write(node.target)
-        self.generic_visit(node)
-
-    def visit_AugAssign(self, node: ast.AugAssign) -> None:
-        self._check_state_write(node.target)
-        self.generic_visit(node)
-
-    def _check_foreign_wake_write(
-        self, receiver: ast.expr, site: ast.AST
-    ) -> None:
-        """SIM009: the receiver of a write/mutator is rooted at a function
-        parameter (not ``self``) and ends on a wake-relevant attribute —
-        foreign state is being poked past the owner's wake pairing."""
-        if not self._scopes:
-            return
-        root, attrs = self._receiver_chain(receiver)
-        if root is None or not attrs:
-            return
-        if root not in self._scopes[-1].params:
-            return
-        if attrs[-1] not in _WAKE_STATE_ATTRS:
-            return
-        self._flag(
-            "SIM009",
-            site,
-            f"direct write to {root}.{'.'.join(attrs)} reaches another "
-            "component's wake-relevant state; call a method of the owner "
-            "so the mutation stays paired with its wake "
-            "(docs/WAKE_CONTRACT.md)",
-        )
-
-    def _in_wake_probe(self) -> bool:
-        return any(s.name == "next_active_cycle" for s in self._scopes)
-
-    def _check_probe_mutation(
-        self, receiver: ast.expr, site: ast.AST, verb: str
-    ) -> None:
-        """SIM010: a mutation inside ``next_active_cycle`` that touches
-        object state (receiver chain crosses at least one attribute)."""
-        if not self._in_wake_probe():
-            return
-        _, attrs = self._receiver_chain(receiver)
-        if not attrs and not isinstance(receiver, ast.Subscript):
-            return  # a purely local name: harmless scratch space
-        self._flag(
-            "SIM010",
-            site,
-            f"next_active_cycle mutates state ({verb}); the wake probe "
-            "must be a pure read — the kernel and verify_wake may call "
-            "it at any cycle",
-        )
-
-    def _check_probe_rng(self, node: ast.Call) -> None:
-        if not self._in_wake_probe():
-            return
-        root, attrs = self._receiver_chain(node.func)
-        segments = set(attrs[:-1]) | ({root} if root else set())
-        if segments & _RNG_SEGMENTS:
-            self._flag(
-                "SIM010",
-                node,
-                "next_active_cycle draws from an RNG; the probe may run "
-                "a different number of times per cycle across kernels, "
-                "so any draw here diverges the simulation",
-            )
-
     # -- SIM007: float equality -----------------------------------------
 
     def visit_Compare(self, node: ast.Compare) -> None:
@@ -811,7 +557,7 @@ def lint_source(source: str, path: Path) -> list[Violation]:
 def lint_file(path: Path) -> list[Violation]:
     try:
         source = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise LintError(f"{path}: {exc}")
     return lint_source(source, path)
 
@@ -854,20 +600,6 @@ def _render_text(violations: list[Violation], checked: int) -> str:
     return "\n".join(lines)
 
 
-def _render_json(violations: list[Violation], checked: int) -> str:
-    by_rule: dict[str, int] = {}
-    for v in violations:
-        by_rule[v.rule_id] = by_rule.get(v.rule_id, 0) + 1
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "files_checked": checked,
-        "total": len(violations),
-        "by_rule": by_rule,
-        "violations": [v.to_json() for v in violations],
-    }
-    return json.dumps(payload, indent=2, sort_keys=True)
-
-
 def _render_rule_table() -> str:
     lines = []
     for rule in RULES:
@@ -885,12 +617,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         "paths",
         nargs="*",
         help="files or directories to lint (e.g. src tests)",
-    )
-    parser.add_argument(
-        "--format",
-        choices=("text", "json"),
-        default="text",
-        help="output format (default: text)",
     )
     parser.add_argument(
         "--list-rules",
@@ -913,8 +639,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"simlint: error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 
-    renderer = _render_json if args.format == "json" else _render_text
-    print(renderer(violations, checked))
+    print(_render_text(violations, checked))
     return EXIT_VIOLATIONS if violations else EXIT_CLEAN
 
 

@@ -5,7 +5,7 @@ entry point of the library:
 
 >>> from repro import Network, tiny_preset
 >>> net = Network(tiny_preset())
->>> net.add_uniform_traffic(rate=0.3)
+>>> source = net.add_uniform_traffic(rate=0.3)
 >>> result = net.run_standard()
 >>> result.avg_latency  # doctest: +SKIP
 

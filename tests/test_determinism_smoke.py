@@ -1,10 +1,13 @@
 """Fuzz-style determinism smoke: the dynamic counterpart of simlint.
 
-simlint statically forbids the usual reproducibility breakers (global
-RNG draws, wall-clock reads, set-order iteration); this test guards the
-same contract dynamically by rendering a tiny fig5 point twice
-in-process — fresh ``Network`` both times — and asserting the printed
-output is byte-identical.  A handful of seeds gives the "fuzz" flavour
+simlint statically forbids the reproducibility breakers that repeat
+faithfully on one host and so pass every test (a fixed ad-hoc seed, an
+int-set loop, a wall-clock read that stays off stdout; pricing table in
+docs/LINTING.md); this test guards the same contract dynamically by
+rendering a tiny fig5 point twice in-process — fresh ``Network`` both
+times — and asserting the printed output is byte-identical: state that
+leaks from one run into the next (the process-global RNG, say) moves
+the second rendering.  A handful of seeds gives the "fuzz" flavour
 without meaningful runtime cost.
 """
 

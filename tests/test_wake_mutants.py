@@ -3,9 +3,11 @@
 One mutant per wake / ``bind_wake`` call site in ``src/repro``: a copy
 of the package with exactly that line blanked must die with
 ``WakeContractError`` on one short scenario under ``verify_wake``, and
-the unmutated copy must run it clean.  The exhaustiveness test pins the
-corpus to the call sites themselves, so a new wake site cannot land
-without a mutant (and a reworded site cannot silently drop out of it).
+the unmutated copy must run it clean.  One more row is the opposite
+edit — a write that bypasses the method pairing it with its wake.  The
+exhaustiveness test pins the corpus to the call sites themselves, so a
+new wake site cannot land without a mutant (and a reworded site cannot
+silently drop out of it).
 """
 
 from __future__ import annotations
@@ -60,6 +62,19 @@ MUTANTS = {
     ),
 }
 
+#: name -> (file, line, replacement): not a blanked wake but a write that
+#: never had one — the owner's paired method (``Channel.send``) bypassed
+#: for a bare append to the sleeping consumer's queue
+UNPAIRED_WRITES = {
+    "endpoint_send_bypasses_channel": (
+        "endpoints/endpoint.py",
+        "        self.flit_out.send((vc, flit), cycle)\n",
+        "        self.flit_out._queue.append(\n"
+        "            (cycle + self.flit_out.latency, (vc, flit))\n"
+        "        )\n",
+    ),
+}
+
 #: idle -> add traffic -> drain -> post a message to a sleeping endpoint
 SCENARIO = """
 from repro.engine.config import SimParams
@@ -97,13 +112,22 @@ def _copy_package(tmp_path: Path) -> Path:
     return copy
 
 
-def _edit_target(package: Path, name: str) -> tuple[Path, str, str]:
-    """(file, its source, the line to blank) of one mutant."""
-    rel, line = MUTANTS[name]
+def _edit_target(package: Path, rel: str, line: str) -> tuple[Path, str]:
+    """(file, its source) of one edit; ``line`` must match exactly once."""
     path = package / rel
     source = path.read_text()
-    assert source.count(line) == 1, f"{name}: edit target must match once"
-    return path, source, line
+    assert source.count(line) == 1, f"{rel}: {line!r} must match once"
+    return path, source
+
+
+#: every row as (file, line, replacement): a wake site is blanked to ``pass``
+EDITS = {
+    **{
+        name: (rel, line, line.replace(line.strip(), "pass"))
+        for name, (rel, line) in MUTANTS.items()
+    },
+    **UNPAIRED_WRITES,
+}
 
 
 def test_unmutated_copy_runs_clean(tmp_path):
@@ -112,10 +136,11 @@ def test_unmutated_copy_runs_clean(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
-@pytest.mark.parametrize("name", sorted(MUTANTS))
+@pytest.mark.parametrize("name", sorted(EDITS))
 def test_mutant_dies_with_wake_contract_error(name, tmp_path):
-    path, source, line = _edit_target(_copy_package(tmp_path), name)
-    path.write_text(source.replace(line, line.replace(line.strip(), "pass")))
+    rel, line, replacement = EDITS[name]
+    path, source = _edit_target(_copy_package(tmp_path), rel, line)
+    path.write_text(source.replace(line, replacement))
     proc = _run_scenario(tmp_path)
     assert proc.returncode != 0, f"{name} survived"
     assert "WakeContractError" in proc.stderr, proc.stderr
@@ -135,7 +160,7 @@ def test_corpus_covers_every_wake_call_site():
             ):
                 sites.add((rel, node.lineno))
     covered = set()
-    for name, (rel, _) in MUTANTS.items():
-        _, source, line = _edit_target(PACKAGE, name)
+    for rel, line in MUTANTS.values():
+        _, source = _edit_target(PACKAGE, rel, line)
         covered.add((rel, source[: source.index(line)].count("\n") + 1))
     assert covered == sites
