@@ -212,8 +212,10 @@ class Endpoint:
         stale-entry cleanup mutates arbitration order), or an ECN window
         in recovery (its tick is clocked on absolute cycles) keeps the
         endpoint stepping every cycle; otherwise the earliest of the
-        sources' own schedules and the input channels' delivery
-        deadlines bounds the sleep."""
+        sources' own schedules and the ejection channel's next delivery
+        bounds the sleep.  Credit returns do not: they only refill the
+        injection mirror, which nothing reads but ``_inject`` — after
+        the same step's ``_receive`` has applied every credit due."""
         if (
             self._streams
             or self.ack_queue
@@ -231,14 +233,13 @@ class Endpoint:
                     return cycle + 1
                 if wake is None or when < wake:
                     wake = when
-        for ch in (self.flit_in, self.credit_in):
-            if ch is not None:
-                due = ch.next_deadline
-                if due is not None:
-                    if due <= cycle + 1:
-                        return cycle + 1
-                    if wake is None or due < wake:
-                        wake = due
+        ch = self.flit_in
+        due = ch.next_deadline if ch is not None else None
+        if due is not None:
+            if due <= cycle + 1:
+                return cycle + 1
+            if wake is None or due < wake:
+                wake = due
         return wake
 
     # -- receive side ----------------------------------------------------

@@ -104,6 +104,13 @@ class Simulator:
         self._active: list[int] = []  # sorted indices stepped every cycle
         self._heap: list[tuple[int, int]] = []  # (wake cycle, idx), lazy
         self._index: dict[int, int] = {}  # id(component) -> idx
+        # self-telemetry (harvested as engine.sim.*): component steps
+        # executed, wake-heap entries pushed (a sleeper's own deadline
+        # or an external wake), entries popped stale, idle-skip jumps
+        self.steps = 0
+        self.wakes = 0
+        self.stale_pops = 0
+        self.skips = 0
 
     def add(self, component: Component) -> None:
         """Register a component; step order is registration order."""
@@ -141,6 +148,7 @@ class Simulator:
             return
         status[idx] = cycle
         heappush(self._heap, (cycle, idx))
+        self.wakes += 1
 
     def wake_component(self, component: Component, cycle: int) -> None:
         """:meth:`wake` by object; unregistered components are ignored."""
@@ -205,6 +213,7 @@ class Simulator:
             cycle = self.cycle
             for component in components:
                 component.step(cycle)
+            self.steps += len(components)
             for period, anchor, fn in samplers:
                 if (cycle - anchor) % period == 0:
                     fn(cycle)
@@ -231,9 +240,12 @@ class Simulator:
                 if status[idx] == c:  # stale entries fail this check
                     status[idx] = _ACTIVE
                     insort(active, idx)
+                else:
+                    self.stale_pops += 1
             if active:
                 for idx in active:
                     components[idx].step(cycle)
+                self.steps += len(active)
             for period, anchor, fn in samplers:
                 if (cycle - anchor) % period == 0:
                     fn(cycle)
@@ -253,6 +265,7 @@ class Simulator:
                     else:
                         status[idx] = wake
                         heappush(heap, (wake, idx))
+                        self.wakes += 1
                     if demoted is None:
                         demoted = []
                     demoted.append(idx)
@@ -278,6 +291,7 @@ class Simulator:
                         target = fire
                 if target > now:
                     self.cycle = target
+                    self.skips += 1
         return False
 
     def _verify_sleepers(self, cycle: int) -> None:

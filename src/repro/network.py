@@ -233,14 +233,15 @@ class Network:
         """Register every channel's consumer with the simulator wake
         list: each send then schedules the consumer for the delivery
         cycle, which is what lets the event kernel put idle components
-        to sleep without missing arrivals (docs/PERFORMANCE.md)."""
+        to sleep without missing arrivals (docs/PERFORMANCE.md).  An
+        endpoint's credit wire stays unbound: its credits wait for the
+        endpoint's next step (``Endpoint.next_active_cycle``)."""
         sim = self.sim
         for ep in self.endpoints:
             idx = sim.index_of(ep)
             assert idx is not None
-            for ch in (ep.flit_in, ep.credit_in):
-                if ch is not None:
-                    ch.bind_wake(sim, idx)
+            if ep.flit_in is not None:
+                ep.flit_in.bind_wake(sim, idx)
         for sw in self.switches:
             idx = sim.index_of(sw)
             assert idx is not None

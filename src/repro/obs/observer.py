@@ -123,9 +123,15 @@ def harvest(net: "Network") -> dict[str, int]:
         if sw.stash_dir is not None
         for part in sw.stash_dir.partitions
     ]
+    sim = net.sim
     counters = {
-        "engine.sim.cycles": net.sim.cycle,
+        "engine.sim.cycles": sim.cycle,
         "engine.sim.components": len(switches) + len(eps),
+        # kernel self-telemetry: differs between kernels by design
+        "engine.sim.steps": sim.steps,
+        "engine.sim.wakes": sim.wakes,
+        "engine.sim.stale_pops": sim.stale_pops,
+        "engine.sim.skips": sim.skips,
         "network.messages.posted": len(net.messages),
         "network.messages.delivered": sum(
             1 for m in net.messages.values() if m.delivered

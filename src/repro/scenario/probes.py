@@ -116,7 +116,15 @@ def _port_occupancy(net: "Network") -> Reader:
                         ip.damq.total_committed + op.out_damq.total_committed
                     ),
                 )
-    timeline.install(net.sim)
+
+    def sample(cycle: int) -> None:
+        # a sleeping switch holds retention releases back until its
+        # next step; apply the ones due before reading output space
+        for sw in net.switches:
+            sw.settle(cycle)
+        timeline.sample(cycle)
+
+    net.sim.add_sampler(timeline.period, sample)
 
     def read() -> Extras:
         return tuple(

@@ -24,7 +24,7 @@ from repro.core.stash import StashDirectory, StashJob, StashPartition
 from repro.engine.config import EcnParams, ReliabilityParams, StashParams, SwitchParams
 from repro.routing.routing import Router
 from repro.switch.flit import Packet
-from repro.switch.tiled_switch import TiledSwitch
+from repro.switch.tiled_switch import _NEVER, TiledSwitch
 from repro.topology.topology import PortSpec
 
 __all__ = ["StashingSwitch"]
@@ -146,8 +146,7 @@ class StashingSwitch(TiledSwitch):
     ) -> None:
         """Report a completed store to the origin port's tracker over the
         side-band network (paper Section IV-A)."""
-        assert self.sideband is not None
-        self.sideband.send(
+        self._send_sideband(
             SidebandMessage(
                 kind=SidebandKind.LOCATION,
                 dest_port=job.origin_port,
@@ -165,40 +164,31 @@ class StashingSwitch(TiledSwitch):
             return
         response = tracker.on_ack(packet.ack_for, packet.ack_positive)
         if response is not None:
-            assert self.sideband is not None
-            self.sideband.send(response, cycle)
+            self._send_sideband(response, cycle)
 
-    def next_active_cycle(self, cycle: int) -> int | None:
-        """Extends the baseline wake-list contract with the paced
-        retransmission queue: a throttled NACK retransmission is clocked
-        off its scheduled ready cycle, not off any channel delivery."""
-        wake = super().next_active_cycle(cycle)
-        if wake is not None and wake <= cycle + 1:
-            return wake
-        paced = self._paced_retransmits
-        if paced:
-            head = paced[0][0]
-            if head <= cycle + 1:
-                return cycle + 1
-            if wake is None or head < wake:
-                wake = head
-        return wake
+    def _send_sideband(self, msg: SidebandMessage, cycle: int) -> None:
+        assert self.sideband is not None
+        self.sideband.send(msg, cycle)
+        due = cycle + self.cfg.sideband_latency
+        if due < self._sideband_due:
+            self._sideband_due = due
 
     def _process_sideband(self, cycle: int) -> None:
-        assert self.sideband is not None
+        """Start the paced retransmissions and deliver the side-band
+        messages due by ``cycle``; ``step`` calls it only when one is
+        (``_sideband_due``), and it leaves the next due cycle there."""
+        sideband = self.sideband
+        assert sideband is not None
         paced = self._paced_retransmits
         while paced and paced[0][0] <= cycle:
             self._start_retransmission(paced.popleft()[1], cycle)
-        due = self.sideband.next_deadline
-        if due is None or due > cycle:
-            return
-        for msg in self.sideband.deliver_ready(cycle):
+        for msg in sideband.deliver_ready(cycle):
             if msg.kind == SidebandKind.LOCATION:
                 response = self.trackers[msg.dest_port].on_location(
                     msg.pid, msg.stash_port, msg.location
                 )
                 if response is not None:
-                    self.sideband.send(response, cycle)
+                    sideband.send(response, cycle)
             elif msg.kind == SidebandKind.DELETE:
                 partition = self.out_ports[msg.dest_port].partition
                 assert partition is not None
@@ -217,6 +207,10 @@ class StashingSwitch(TiledSwitch):
                     )
                 else:
                     self._start_retransmission(msg, cycle)
+        due = sideband.next_deadline
+        self._sideband_due = min(
+            paced[0][0] if paced else _NEVER, _NEVER if due is None else due
+        )
 
     def _start_retransmission(self, msg: SidebandMessage, cycle: int) -> None:
         """Retrieve a stashed copy and queue it for re-injection through

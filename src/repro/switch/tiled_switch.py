@@ -35,6 +35,9 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = ["TiledSwitch"]
 
+#: ``_sideband_due`` with nothing in flight on the side band
+_NEVER = 1 << 62
+
 
 class TiledSwitch:
     """Baseline tiled switch; also the shared datapath for stashing."""
@@ -69,6 +72,7 @@ class TiledSwitch:
         "_active_in",
         "_active_out",
         "_flat_tiles",
+        "_sideband_due",
     )
 
     def __init__(
@@ -131,6 +135,8 @@ class TiledSwitch:
         self.obs: EventTrace | None = None
 
         self.inflight = 0
+        # earliest side-band delivery or paced retransmission
+        self._sideband_due = _NEVER
         # bandwidth-token schedule for the internal speedup, derived from
         # the absolute cycle number (stateless, so both cycle kernels and
         # skipped idle cycles agree): passes(c) = floor((c+1)*s) - floor(c*s),
@@ -267,6 +273,15 @@ class TiledSwitch:
                 q = ch._queue
                 if q and q[0][0] <= cycle:
                     ip.ingress(cycle)
+        self.settle(cycle)
+        if self._sideband_due <= cycle:
+            self._process_sideband(cycle)
+
+    def settle(self, cycle: int) -> None:
+        """Apply the credit returns and retention releases due by
+        ``cycle``: an idle switch defers them (:meth:`next_active_cycle`),
+        so a reader of its output or mirror space outside ``step`` calls
+        this first."""
         for op in self._active_out:
             ch = op.credit_in
             if ch is not None:
@@ -276,8 +291,6 @@ class TiledSwitch:
             pending = op.pending_release
             if pending and pending[0][0] <= cycle:
                 op.release_retained(cycle)
-        if self.sideband is not None:
-            self._process_sideband(cycle)
 
     def _egress_pending(self) -> bool:
         """Link-protocol replay that must transmit despite zero inflight
@@ -302,50 +315,46 @@ class TiledSwitch:
 
     def next_active_cycle(self, cycle: int) -> int | None:
         """Wake-list contract (docs/PERFORMANCE.md): the next cycle our
-        ``step`` could do anything.  Buffered flits, pending retrieval
-        work, and link replay demand every cycle; otherwise the earliest
-        input-channel / credit-channel delivery, retention expiry, side
-        band delivery, or paced retransmission bounds the sleep.  A
-        bound channel ``send`` wakes us independently, so only deadlines
-        already in flight matter here."""
+        ``step`` could do anything.  Buffered flits, retrieval work and
+        link replay demand every cycle.  Otherwise the earliest input,
+        side-band, paced-retransmission or link-protocol credit deadline
+        bounds the sleep, and so does the *last* implicit-ack credit or
+        retention release: those only refill space no one reads before a
+        flit arrives, and its step applies them first.  A bound channel
+        ``send`` wakes us independently."""
         if self.inflight:
             return cycle + 1
-        wake = None
+        wake = self._sideband_due
         for ip in self._active_in:
             if ip.retrieval_queue or ip.retrieval is not None:
                 return cycle + 1
             partition = ip.partition
             if partition is not None and partition._fifo:
                 return cycle + 1
-            ch = ip.flit_in
-            if ch is not None:
-                q = ch._queue
-                if q and (wake is None or q[0][0] < wake):
-                    wake = q[0][0]
+            q = ip.flit_in._queue if ip.flit_in is not None else None
+            if q and q[0][0] < wake:
+                wake = q[0][0]
+        late = -1
         for op in self._active_out:
             tx = op.link_tx
             if tx is not None and tx.replay:
                 return cycle + 1
-            ch = op.credit_in
-            if ch is not None:
-                q = ch._queue
-                if q and (wake is None or q[0][0] < wake):
-                    wake = q[0][0]
-            pending = op.pending_release
-            if pending and (wake is None or pending[0][0] < wake):
-                wake = pending[0][0]
-        sideband = self.sideband
-        if sideband is not None:
-            due = sideband.next_deadline
-            if due is not None and (wake is None or due < wake):
-                wake = due
-        if wake is not None and wake <= cycle:
-            return cycle + 1
-        return wake
+            q = op.credit_in._queue if op.credit_in is not None else None
+            if q:
+                if tx is not None:
+                    wake = min(wake, q[0][0])
+                else:
+                    late = max(late, q[-1][0])
+            if op.pending_release:
+                late = max(late, op.pending_release[-1][0])
+        if 0 <= late < wake:
+            wake = late
+        return None if wake == _NEVER else wake
 
-    def _idle(self) -> bool:
-        """Fast path: nothing buffered, arriving, or pending anywhere."""
-        if self.inflight:
+    @property
+    def quiescent(self) -> bool:
+        """True when nothing is buffered, arriving, or pending here."""
+        if self.inflight or self._sideband_due != _NEVER:
             return False
         for ip in self._active_in:
             ch = ip.flit_in
@@ -364,10 +373,6 @@ class TiledSwitch:
             tx = op.link_tx
             if tx is not None and (tx.replay or tx.retained_flits):
                 return False  # unacked link window: NACKs may still come
-        if self.sideband is not None and self.sideband.in_flight:
-            return False
-        if getattr(self, "_paced_retransmits", None):
-            return False  # a throttled retransmission is still scheduled
         return True
 
     # -- routing context ---------------------------------------------------
@@ -399,11 +404,6 @@ class TiledSwitch:
         raise RuntimeError("baseline switch has no side-band network")
 
     # -- introspection ------------------------------------------------------
-
-    @property
-    def quiescent(self) -> bool:
-        """True when nothing is buffered, arriving, or pending here."""
-        return self._idle()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}(id={self.switch_id}, inflight={self.inflight})"

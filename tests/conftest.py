@@ -157,6 +157,24 @@ def sweep_rows(sweep, base, axes, seed=1, engine="cycle", jobs=1):
     )
 
 
+#: the kernel's self-telemetry: how much work the cycle loop did, which
+#: differs between the two kernels (and between a source and its
+#: per-cycle reference) by design
+KERNEL_TELEMETRY = (
+    "engine.sim.steps", "engine.sim.wakes", "engine.sim.stale_pops",
+    "engine.sim.skips",
+)
+
+
+def model_counters(net: Network) -> dict[str, int]:
+    """``harvest(net)`` without :data:`KERNEL_TELEMETRY`: every counter
+    of the simulated network, which polling ≡ event holds equal."""
+    counters = harvest(net)
+    for name in KERNEL_TELEMETRY:
+        del counters[name]
+    return counters
+
+
 def drain_and_check(net: Network, max_cycles: int = 60000) -> None:
     """Run the network empty and assert full message conservation."""
     assert net.drain(max_cycles), "network failed to drain"

@@ -13,10 +13,9 @@ from __future__ import annotations
 
 from repro.engine.config import ReliabilityParams, SimParams, StashParams
 from repro.network import Network
-from repro.obs import harvest
 from repro.traffic.generators import BernoulliSource
 from repro.traffic.patterns import uniform_random
-from tests.conftest import micro_config
+from tests.conftest import micro_config, model_counters
 
 
 class PerCycleBernoulli(BernoulliSource):
@@ -57,7 +56,7 @@ def run_micro(
 ):
     """One ``run_standard`` of the micro dragonfly (stash100, so a
     corrupted packet is retransmitted) under ``source_cls`` traffic;
-    returns ``(net.result(), harvest(net))``."""
+    returns ``(net.result(), model_counters(net))``."""
     net = Network(micro_config(
         stash=StashParams(enabled=True, frac_local=0.5),
         reliability=ReliabilityParams(enabled=True, error_rate=error_rate),
@@ -70,4 +69,4 @@ def run_micro(
     net.add_source(source_cls(rate, msg_flits, pattern, start=start, stop=stop))
     if two_sources:
         net.add_source(source_cls(rate / 2, msg_flits + 3, pattern, tag=1))
-    return net.run_standard(), harvest(net)
+    return net.run_standard(), model_counters(net)

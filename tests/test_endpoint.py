@@ -118,3 +118,21 @@ class TestDelivery:
         net.endpoints[0].post_message(1, 4, 0)
         drain_and_check(net)
         assert kinds == [PacketKind.DATA]  # hooks fire for data only
+
+
+class TestSleep:
+    def test_credit_returns_do_not_wake_an_idle_endpoint(self):
+        """Credits only refill the injection mirror, which the endpoint
+        reads after applying every credit due in the same step."""
+        net = single_switch_net()
+        ep = net.endpoints[0]
+        ep.mirror.debit_flit(0)
+        ep.credit_in.send((0, 1), 0)
+        assert ep.next_active_cycle(0) is None
+        net.sim.run(20)
+        assert ep.mirror.in_flight == 1  # arrived, not yet applied
+        ep.post_message(1, 4, net.sim.cycle)
+        net.sim.run(1)
+        assert not ep.credit_in._queue
+        assert ep.mirror.in_flight == 1  # the one flit just injected
+        drain_and_check(net)

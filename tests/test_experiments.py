@@ -267,7 +267,8 @@ class TestOccupancy:
     def test_census_matches_independent_probe(self):
         """Regression guard for the Timeline migration: the census must
         report exactly what a hand-rolled sampler measures on a
-        duplicate network run under the same derived seed."""
+        duplicate network run under the same derived seed — on the
+        polling kernel, where no switch defers a retention release."""
         from repro.engine.parallel import derive_run_seed
         from repro.network import Network
 
@@ -276,9 +277,11 @@ class TestOccupancy:
             "occupancy", base, {"loads": (load,)}, seed=seed
         )
         assert point.spec.config.sim.sample_period == period
+        assert point.spec.config.sim.kernel == "event"
 
         cfg = base.with_(sim=replace(
-            base.sim, seed=derive_run_seed(seed, f"occupancy:{load!r}")))
+            base.sim, seed=derive_run_seed(seed, f"occupancy:{load!r}"),
+            kernel="polling"))
         net = Network(cfg)
         net.add_uniform_traffic(rate=load)
         topo = net.topology

@@ -4,7 +4,7 @@
 The shipped source draws an endpoint's uniforms early so the endpoint
 can sleep until its next injection; it must still consume the same
 samples in the same order from the same stream, so every result and
-every harvested counter equals the per-cycle reference's — for any
+every harvested model counter equals the per-cycle reference's — for any
 window, with the stream shared or not, under either kernel.
 """
 
@@ -16,9 +16,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.endpoints.endpoint import Endpoint
 from repro.engine.config import SimParams
 from repro.network import Network
-from repro.obs import harvest
 from repro.traffic.generators import DRAW_AHEAD_HORIZON, BernoulliSource
-from tests.conftest import micro_config
+from tests.conftest import micro_config, model_counters
 from tests.percycle import PerCycleBernoulli, run_micro
 
 
@@ -118,6 +117,6 @@ def test_second_source_mid_run_is_kernel_identical():
         net.add_uniform_traffic(0.3, stop=1500)
         net.sim.run(1300)
         assert net.drain(30000)
-        return net.result(), harvest(net)
+        return net.result(), model_counters(net)
 
     assert run("event") == run("polling") == run("event")

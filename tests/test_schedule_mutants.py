@@ -41,8 +41,9 @@ MUTANTS = {
     ),
     "draw_inside_the_probe": (
         "endpoints/endpoint.py",
-        '        deadlines bounds the sleep."""\n',
-        '        deadlines bounds the sleep."""\n        self.rng.random()\n',
+        "        the same step's ``_receive`` has applied every credit due.\"\"\"\n",
+        "        the same step's ``_receive`` has applied every credit due.\"\"\"\n"
+        "        self.rng.random()\n",
         "sparse: event differs from polling",
     ),
 }

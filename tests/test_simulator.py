@@ -111,3 +111,35 @@ def test_run_until_overshoot_pinned_for_odd_stop_cycles(kernel):
         sim.add(r)
         assert sim.run_until(lambda: len(r.cycles) >= stop, max_cycles=1000)
         assert sim.cycle == stop
+
+
+
+class Sleeper(Recorder):
+    """Active on every ``period``-th cycle, asleep in between."""
+
+    def __init__(self, period):
+        super().__init__()
+        self.period = period
+
+    def next_active_cycle(self, cycle):
+        return (cycle // self.period + 1) * self.period
+
+
+@pytest.mark.parametrize("kernel", ["polling", "event"])
+def test_self_telemetry_counts_what_the_kernel_did(kernel):
+    sim = Simulator(kernel=kernel)
+    sleeper = Sleeper(10)
+    sim.add(sleeper)
+    sim.run(15)
+    sim.wake(0, 17)  # ahead of its own deadline, 20
+    sim.run(10)
+    counts = (sim.steps, sim.wakes, sim.stale_pops, sim.skips)
+    if kernel == "polling":
+        assert counts == (25, 0, 0, 0)
+        return
+    assert sleeper.cycles == [0, 10, 17, 20]
+    # four steps; deadlines 10, 20, 20 again and 30 pushed by re-arms
+    # plus the external wake for 17; of the two entries for 20, one is
+    # popped stale; the clock jumped 0 -> 10 -> 15 (end of the first run),
+    # then 16 -> 17 -> 20 -> 25
+    assert counts == (4, 5, 1, 5)

@@ -1,10 +1,11 @@
 """White-box invariants of the switch datapath, driven through small
-single-switch networks."""
+networks."""
 
 import pytest
 
-from repro.engine.config import StashParams, SwitchParams
-from tests.conftest import drain_and_check, single_switch_net
+from repro.engine.config import LinkParams, StashParams, SwitchParams
+from repro.network import Network
+from tests.conftest import drain_and_check, micro_config, single_switch_net
 
 
 def _drained_net(stash=False, reliability=False, load=0.4, cycles=800):
@@ -55,7 +56,12 @@ class TestCreditConservation:
         net.sim.run(50)  # let trailing credits fly home
         for ep in net.endpoints:
             assert ep.mirror is not None
-            assert ep.mirror.in_flight == 0
+            # an idle endpoint applies arrived credits at its next step
+            # (Endpoint.next_active_cycle); every one must have arrived
+            # and, with those, the mirror must be whole
+            wire = ep.credit_in._queue
+            assert all(due <= net.sim.cycle for due, _ in wire)
+            assert ep.mirror.in_flight == sum(n for _, (_vc, n) in wire)
 
     def test_credits_restored_with_stashing(self):
         net = _drained_net(stash=True, reliability=True)
@@ -163,3 +169,42 @@ class TestEcnOccupancySource:
         assert ip.congested
         ip.damq.space.release(0, target)
         assert not ip.congested
+
+
+class TestIdleSwitchSleep:
+    """An idle switch's wake rule (docs/PERFORMANCE.md, wake sources):
+    an implicit-ack port's credits and retention releases count by their
+    last deadline, a link-protocol port's credits by their first."""
+
+    @staticmethod
+    def _idle_port(**overrides):
+        net = Network(micro_config(**overrides))
+        sw = net.switches[0]
+        op = next(op for op in sw._active_out if op.credit_in is not None)
+        for _ in range(2):  # two flits sent and retained...
+            op.mirror.debit_flit(0)
+            op.out_damq.space.admit(0, 1)
+        # ...and their credits on the way back
+        op.credit_in.send((0, 1), 0)
+        op.credit_in.send((0, 1), 6)
+        return sw, op, op.credit_in.latency
+
+    def test_implicit_ack_port_wakes_at_its_last_deadline(self):
+        sw, op, latency = self._idle_port()
+        op.pending_release.extend([(4, 0), (9, 0)])
+        last = max(9, 6 + latency)
+        assert sw.next_active_cycle(0) == last
+        # a reader outside the switch's step settles what is due...
+        sw.settle(5)
+        assert op.out_damq.total_committed == 1
+        assert op.mirror.in_flight == (2 if latency > 5 else 1)
+        # ...which leaves the wake where it was
+        assert sw.next_active_cycle(5) == last
+        sw.settle(last)
+        assert op.out_damq.total_committed == op.mirror.in_flight == 0
+        assert sw.quiescent and sw.next_active_cycle(last) is None
+
+    def test_link_protocol_port_wakes_at_its_first_credit(self):
+        sw, op, latency = self._idle_port(link=LinkParams(enabled=True))
+        assert op.link_tx is not None and not op.pending_release
+        assert sw.next_active_cycle(0) == latency

@@ -50,7 +50,7 @@ MUTANTS = {
     ),
     "bind_endpoint_inputs": (
         "network.py",
-        "                    ch.bind_wake(sim, idx)\n",
+        "                ep.flit_in.bind_wake(sim, idx)\n",
     ),
     "bind_switch_flit_in": (
         "network.py",
@@ -75,10 +75,16 @@ UNPAIRED_WRITES = {
     ),
 }
 
-#: idle -> add traffic -> drain -> post a message to a sleeping endpoint
+#: idle -> add traffic -> drain -> a hot spot -> drain -> post a message
+#: to a sleeping endpoint.  The hot spot is what makes an upstream switch
+#: go idle while the switch serving node 0 still holds its flits: their
+#: credits then return after its last retention release, to a switch
+#: asleep with nothing else due (the ``bind_switch_credit_in`` row).
 SCENARIO = """
 from repro.engine.config import SimParams
 from repro.network import Network
+from repro.traffic.generators import BernoulliSource
+from repro.traffic.patterns import hotspot
 from tests.conftest import micro_config
 
 net = Network(micro_config(sim=SimParams(seed=7, verify_wake=True)))
@@ -87,6 +93,13 @@ net.add_uniform_traffic(0.3, stop=1500)
 net.sim.run(1500)
 assert net.drain(20000), "failed to drain"
 assert net.total_data_packets_delivered > 0, "no traffic delivered"
+start = net.sim.cycle
+net.add_source(
+    BernoulliSource(1.0, 4, hotspot([0]), start=start, stop=start + 300),
+    range(1, net.topology.num_nodes),
+)
+net.sim.run(300)
+assert net.drain(20000), "failed to drain the hot spot"
 msg = net.endpoints[0].post_message(3, 8, net.sim.cycle)
 assert net.drain(20000), "failed to drain the posted message"
 assert msg.delivered, "posted message not delivered"
