@@ -7,7 +7,8 @@ solves for the steady state directly:
 
 * **Topology graph** — the *same* topology objects the cycle engine
   wires (:mod:`repro.topology`), flattened into directed unit-capacity
-  links (injection, ejection, local, global).  Routes are minimal; the
+  links (injection, ejection, local, global).  Routes are minimal,
+  walked one hop per numpy pass for every switch pair at once; the
   fat-tree splits flows evenly across spines (fluid ECMP).
 * **Max-min fair sharing** — progressive filling: all unfrozen flows
   share one water level, which rises until a link saturates or a flow
@@ -74,8 +75,6 @@ __all__ = ["FlowEngine"]
 
 Floats = NDArray[np.float64]
 Ints = NDArray[np.intp]
-#: one switch-to-switch route: (hop link ids, summed hop latency, #switches)
-_Route = tuple[tuple[int, ...], float, float]
 
 #: per-switch-traversal pipeline cost (route + arbitration + crossbar),
 #: calibrated against the cycle engine's zero-load latency
@@ -112,9 +111,6 @@ class _LinkTable:
             return self.add(key, capacity)
         return self._ids[key]
 
-    def id(self, key: str) -> int:
-        return self._ids[key]
-
 
 def _ragged(ptr: Ints, rows: Ints) -> Ints:
     """The index ranges ``ptr[r]:ptr[r + 1]`` of each row, concatenated."""
@@ -126,12 +122,37 @@ def _ragged(ptr: Ints, rows: Ints) -> Ints:
     return out
 
 
-def _padded(rows: Sequence[Sequence[int]]) -> Ints:
-    """Ragged rows as one 2-D array, short rows filled with -1."""
-    width = max(map(len, rows), default=0)
-    return np.array(
-        [[*row, *(-1,) * (width - len(row))] for row in rows], dtype=np.intp
-    ).reshape(len(rows), width)
+def _next_ports(topo: "Topology") -> Ints:
+    """The minimal next output port by ``(choice, current switch,
+    destination switch)``, -1 where no route passes: one choice on a
+    dragonfly or a single switch, one per spine (fluid ECMP) on a
+    fat-tree."""
+    n = topo.num_switches
+    if isinstance(topo, SingleSwitchTopology):
+        return np.full((1, n, n), -1, dtype=np.intp)
+    if isinstance(topo, FatTreeTopology):
+        leaves = topo.num_leaves
+        table = np.full((topo.num_spines, n, n), -1, dtype=np.intp)
+        for k in range(topo.num_spines):
+            for leaf in range(leaves):
+                table[k, leaf] = topo.uplink_port(leaf, k)
+                table[:, leaves + k, leaf] = topo.downlink_port(leaves + k, leaf)
+        return table
+    if isinstance(topo, DragonflyTopology):
+        group = np.array([topo.group_of(s) for s in range(n)], dtype=np.intp)
+        to_group = np.array([
+            [-1 if t == g else topo.route_to_group(s, t) for t in range(topo.g)]
+            for s, g in enumerate(group.tolist())
+        ], dtype=np.intp)
+        table = to_group[:, group]
+        same = group[:, None] == group
+        np.fill_diagonal(same, False)
+        for s, peer in np.argwhere(same).tolist():
+            table[s, peer] = topo.local_port(s, peer)
+        return table[None]
+    raise EngineUnsupported(
+        f"flow engine has no routes for {type(topo).__name__}"
+    )
 
 
 @dataclass(frozen=True)
@@ -283,11 +304,22 @@ class _FlowBuilder:
     def __init__(self, topo: "Topology", cfg: "NetworkConfig") -> None:
         self.topo = topo
         self.links = links = _LinkTable()
+        #: per (switch, port): its link and far-end switch (each -1 if
+        #: none) and its channel latency
+        shape = (topo.num_switches, topo.num_ports)
+        self.port_link = np.full(shape, -1, dtype=np.intp)
+        self.port_peer = np.full(shape, -1, dtype=np.intp)
+        self.port_latency = np.zeros(shape)
         # one directed unit-capacity link per wired switch port
         for s in range(topo.num_switches):
             for spec in topo.switch_ports(s):
+                at = s, spec.port
                 if spec.link_class in ("local", "global"):
-                    links.add(f"l:{s}.{spec.port}", 1.0)
+                    self.port_link[at] = links.add(f"l:{s}.{spec.port}", 1.0)
+                if spec.peer is not None and spec.peer[0] == "switch":
+                    self.port_peer[at] = spec.peer[1]
+                self.port_latency[at] = spec.latency
+        self.next_port = _next_ports(topo)
         nodes = range(topo.num_nodes)
         self.node_switch = np.array(
             [topo.node_switch(u) for u in nodes], dtype=np.intp
@@ -305,7 +337,6 @@ class _FlowBuilder:
         self.pool = np.full(topo.num_switches, -1, dtype=np.intp)
         if cfg.reliability.enabled and cfg.stash.enabled:
             self._add_stash_pools(cfg)
-        self._routes: dict[tuple[int, int], list[_Route]] = {}
         self.classes: list[str] = []
         self.groups: list[str] = []
         self.n_flows = 0
@@ -327,81 +358,52 @@ class _FlowBuilder:
                 self.pool[s] = self.links.add(f"stash:{s}", pool)
 
     # ------------------------------------------------------------------
-    # routes
+    # routes and flow construction
     # ------------------------------------------------------------------
-
-    def routes(self, src_switch: int, dst_switch: int) -> list[_Route]:
-        """Minimal routes between two switches, computed once per pair;
-        fat-trees return one per spine (fluid ECMP splits)."""
-        key = (src_switch, dst_switch)
-        found = self._routes.get(key)
-        if found is None:
-            found = self._routes[key] = self._find_routes(*key)
-        return found
-
-    def _find_routes(self, src_switch: int, dst_switch: int) -> list[_Route]:
-        topo, links = self.topo, self.links
-        if isinstance(topo, SingleSwitchTopology) or src_switch == dst_switch:
-            return [((), 0.0, 1.0)]
-        if isinstance(topo, FatTreeTopology):
-            lat = float(topo.latency_up)
-            routes: list[_Route] = []
-            for spine in range(topo.num_spines):
-                spine_sw = topo.num_leaves + spine
-                up = topo.uplink_port(src_switch, spine)
-                down = topo.downlink_port(spine_sw, dst_switch)
-                routes.append((
-                    (links.id(f"l:{src_switch}.{up}"),
-                     links.id(f"l:{spine_sw}.{down}")),
-                    lat + lat, 3.0,
-                ))
-            return routes
-        if isinstance(topo, DragonflyTopology):
-            hops: list[int] = []
-            latency = 0.0
-            cur = src_switch
-            while cur != dst_switch:
-                if topo.group_of(cur) == topo.group_of(dst_switch):
-                    port = topo.local_port(cur, dst_switch)
-                else:
-                    port = topo.route_to_group(cur, topo.group_of(dst_switch))
-                spec = topo.port_spec(cur, port)
-                assert spec.peer is not None and spec.peer[0] == "switch"
-                hops.append(links.id(f"l:{cur}.{port}"))
-                latency += float(spec.latency)
-                cur = spec.peer[1]
-                if len(hops) > 8:  # minimal dragonfly paths are <= 3 hops
-                    raise EngineUnsupported(
-                        "flow routing failed to converge on this topology"
-                    )
-            return [(tuple(hops), latency, float(len(hops) + 1))]
-        raise EngineUnsupported(
-            f"flow engine has no routes for {type(topo).__name__}"
-        )
 
     def _route_tables(
-        self, pairs: list[tuple[int, int]]
+        self, src: Ints, dst: Ints
     ) -> tuple[Ints, Ints, Floats, Floats, Ints, Floats]:
-        """The routes of each (source, destination) switch pair as
-        arrays: pair ``i`` owns rows ``ptr[i]:ptr[i + 1]`` of the
-        forward tables (hop links padded with -1, hop latency, switch
-        count) and row ``i`` of the reverse ones (the links of every
-        reverse route, and the share of the ACKs each route carries)."""
-        fwd = [self.routes(a, b) for a, b in pairs]
-        back = [self.routes(b, a) for a, b in pairs]
-        flat = [route for routes in fwd for route in routes]
+        """Each switch pair's routes, one per next-port choice, walked a
+        hop per pass for every pair both ways at once: pair ``i`` owns
+        rows ``ptr[i]:ptr[i + 1]`` of the forward tables (hop links
+        padded with -1, hop latency, switch count) and row ``i`` of the
+        reverse ones (every reverse route's links, a slot per choice,
+        and the share of the ACKs each route carries)."""
+        choices = len(self.next_port)
+        splits = np.where(src == dst, 1, choices)
+        ptr = np.concatenate(([0], np.cumsum(splits)))
+        pair = np.repeat(np.arange(len(src)), splits)
+        choice = np.arange(len(pair)) - ptr[pair]
+        n = len(pair)  # forward rows, then the same rows reversed
+        via = np.concatenate((choice, choice))
+        at = np.concatenate((src[pair], dst[pair]))
+        goal = np.concatenate((dst[pair], src[pair]))
+        latency = np.zeros(2 * n)
+        hops: list[Ints] = []
+        live = np.flatnonzero(at != goal)
+        while len(live):
+            if len(hops) == 8:  # minimal dragonfly paths are <= 3 hops
+                raise EngineUnsupported(
+                    "flow routing failed to converge on this topology"
+                )
+            cur = at[live]
+            port = self.next_port[via[live], cur, goal[live]]
+            peer = self.port_peer[cur, port]
+            assert (peer >= 0).all()
+            hop = np.full(2 * n, -1, dtype=np.intp)
+            hop[live] = self.port_link[cur, port]
+            hops.append(hop)
+            latency[live] += self.port_latency[cur, port]
+            at[live] = peer
+            live = live[peer != goal[live]]
+        table = np.array(hops, dtype=np.intp).reshape(len(hops), 2 * n).T
+        back = np.full((len(src), choices, len(hops)), -1, dtype=np.intp)
+        back[pair, choice] = table[n:]
         return (
-            np.cumsum([0] + [len(routes) for routes in fwd]),
-            _padded([route[0] for route in flat]),
-            np.array([route[1] for route in flat]),
-            np.array([route[2] for route in flat]),
-            _padded([[l for route in routes for l in route[0]] for routes in back]),
-            np.array([1.0 / len(routes) for routes in back]),
+            ptr, table[:n], latency[:n], (table[:n] >= 0).sum(axis=1) + 1.0,
+            back.reshape(len(src), -1), 1.0 / splits,
         )
-
-    # ------------------------------------------------------------------
-    # flow construction
-    # ------------------------------------------------------------------
 
     def spread(
         self, nodes: Sequence[int], dsts: Sequence[int], rate: float,
@@ -460,9 +462,7 @@ class _FlowBuilder:
         used[pair] = True
         via = (np.cumsum(used) - 1)[pair]
         fwd_ptr, hops, path_latency, path_switches, back_hops, back_share = (
-            self._route_tables(
-                [divmod(p, n_switches) for p in np.flatnonzero(used).tolist()]
-            )
+            self._route_tables(*np.divmod(np.flatnonzero(used), n_switches))
         )
 
         def latency(node: Ints, path: Ints) -> Floats:

@@ -137,11 +137,8 @@ class DragonflyTopology(Topology):
                     continue
                 gateway = self._global_owner[grp][target]
                 if gateway == s:
-                    m = [
-                        m
-                        for m in range(g - 1)
-                        if (grp + m + 1) % g == target and grp * a + m // h == s
-                    ][0]
+                    # the one slot m with (grp + m + 1) % g == target
+                    m = (target - grp - 1) % g
                     table[target] = self.global_port(s, m % h)
                 else:
                     table[target] = self.local_port(s, gateway)

@@ -13,6 +13,13 @@ drivers (fig7/fig8 by calling ``run_fig7``/``run_fig8`` per variant with
 the label-derived seed the sweep now gives that point), so they pin the
 probes and the trace traffic kind against the code they replaced.
 
+``flow_micro.txt`` pins the flow engine the same way: one
+``repr(EngineResult)`` line per spec of :func:`_flow_specs`, captured
+before routes were computed as a vectorised next-hop walk, so every
+float of every solve — dragonfly, fat-tree and single switch, stash
+pools, ECN windows and hot spots — is held to the bytes the per-pair
+walk produced.
+
 If an intentional behaviour change breaks one of these, regenerate the
 golden in the same commit and say so in the commit message.
 """
@@ -25,7 +32,18 @@ from pathlib import Path
 import pytest
 
 from repro.campaign.spec import SWEEPS
-from repro.engine.config import SimParams
+from repro.engine.base import get_engine
+from repro.engine.config import SimParams, small_preset, tiny_preset
+from repro.scenario import (
+    FatTreeTopologySpec,
+    HotspotTraffic,
+    ScenarioSpec,
+    SingleSwitchTopologySpec,
+    UniformAggressorTraffic,
+    UniformTraffic,
+    congestion_scenario,
+    reliability_scenario,
+)
 from tests.conftest import micro_config, sweep_rows
 
 GOLDENS = Path(__file__).parent / "goldens"
@@ -111,6 +129,47 @@ def test_migrated_experiment_byte_identical_to_run_driver_capture(sweep, axes):
     _assert_matches(
         f"{sweep}_micro.txt", getattr(module, f"format_{sweep}")(rows)
     )
+
+
+def _flow_specs() -> list[tuple[str, ScenarioSpec]]:
+    """Three dragonfly sizes x three stash variants x two loads, an ECN
+    burst-aggressor and a hot-spot point per size, and the fat tree and
+    single switch with and without stash pools."""
+    specs = []
+    presets = (
+        ("micro", micro_config(), "baseline"),
+        ("tiny", tiny_preset(), "stash100"),
+        ("small", small_preset(), "stash50"),
+    )
+    for size, cfg, ecn_variant in presets:
+        for variant in ("baseline", "stash100", "stash25"):
+            for load in (0.3, 0.8):
+                specs.append((f"{size} {variant} uniform {load}",
+                              reliability_scenario(
+                                  cfg, variant,
+                                  traffic=(UniformTraffic(rate=load),))))
+        specs.append((f"{size} {ecn_variant} aggressor-ecn",
+                       congestion_scenario(
+                           cfg, ecn_variant,
+                           traffic=(UniformAggressorTraffic(burst_flits=64),))))
+        specs.append((f"{size} hotspot",
+                       ScenarioSpec(config=cfg, traffic=(HotspotTraffic(),))))
+    micro = micro_config()
+    for topo in (FatTreeTopologySpec(), SingleSwitchTopologySpec(num_nodes=4)):
+        for variant in ("baseline", "stash25"):
+            specs.append((f"{topo.kind} {variant} uniform 0.9",
+                          reliability_scenario(
+                              micro, variant,
+                              traffic=(UniformTraffic(rate=0.9),),
+                              topology=topo)))
+    return specs
+
+
+def test_flow_engine_byte_identical_to_capture():
+    flow = get_engine("flow")
+    _assert_matches("flow_micro.txt", "\n".join(
+        f"{label}: {flow.run(spec)!r}" for label, spec in _flow_specs()
+    ))
 
 
 def test_probeless_spec_hash_unchanged_by_the_probes_field():

@@ -7,6 +7,11 @@ link is recomputed from the active set every round, not decremented, so
 no float residue outlives a link's last flow.  The vectorised allocator
 must agree with it on random instances and, swapped into whole runs, on
 the ``EngineResult``.
+
+``reference_routes`` is, the same way, the per-pair walk the engine ran
+before it walked every switch pair at once over a next-port table: the
+route tables must equal it entry for entry on drawn dragonfly and
+fat-tree shapes.
 """
 
 from __future__ import annotations
@@ -15,9 +20,11 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.engine import fastpath
-from repro.engine.config import tiny_preset
+from repro.engine.base import EngineUnsupported
+from repro.engine.config import DragonflyParams, tiny_preset
 from repro.scenario import (
     FatTreeTopologySpec,
     HotspotTraffic,
@@ -27,6 +34,9 @@ from repro.scenario import (
     congestion_scenario,
     reliability_scenario,
 )
+from repro.topology.dragonfly import DragonflyTopology
+from repro.topology.fattree import FatTreeTopology
+from repro.topology.single_switch import SingleSwitchTopology
 from tests.conftest import micro_config
 from tests.test_fastpath_maxmin import incidence
 
@@ -163,3 +173,102 @@ def test_whole_run_matches_reference_allocator(monkeypatch, name):
     assert got_floats == pytest.approx(want_floats, rel=1e-6)
     # a count is a truncated product: rounding may move it by one packet
     assert got_counts == pytest.approx(want_counts, abs=1)
+
+
+def reference_routes(builder, src_switch, dst_switch):
+    """Minimal routes between two switches, one per fat-tree spine, as
+    ``(hop link ids, summed hop latency, switch count)``."""
+    topo, link = builder.topo, builder.links._ids
+    if isinstance(topo, SingleSwitchTopology) or src_switch == dst_switch:
+        return [((), 0.0, 1.0)]
+    if isinstance(topo, FatTreeTopology):
+        lat = float(topo.latency_up)
+        routes = []
+        for spine in range(topo.num_spines):
+            spine_sw = topo.num_leaves + spine
+            up = topo.uplink_port(src_switch, spine)
+            down = topo.downlink_port(spine_sw, dst_switch)
+            routes.append((
+                (link[f"l:{src_switch}.{up}"], link[f"l:{spine_sw}.{down}"]),
+                lat + lat, 3.0,
+            ))
+        return routes
+    assert isinstance(topo, DragonflyTopology)
+    hops = []
+    latency = 0.0
+    cur = src_switch
+    while cur != dst_switch:
+        if topo.group_of(cur) == topo.group_of(dst_switch):
+            port = topo.local_port(cur, dst_switch)
+        else:
+            port = topo.route_to_group(cur, topo.group_of(dst_switch))
+        spec = topo.port_spec(cur, port)
+        assert spec.peer is not None and spec.peer[0] == "switch"
+        hops.append(link[f"l:{cur}.{port}"])
+        latency += float(spec.latency)
+        cur = spec.peer[1]
+        assert len(hops) <= 8
+    return [(tuple(hops), latency, float(len(hops) + 1))]
+
+
+def _assert_route_tables_match_reference(topo):
+    """Every pair of switches with endpoints, in both directions."""
+    builder = fastpath._FlowBuilder(topo, micro_config())
+    hosts = sorted({topo.node_switch(u) for u in range(topo.num_nodes)})
+    src, dst = (np.array(side, dtype=np.intp) for side in zip(
+        *[(a, b) for a in hosts for b in hosts]
+    ))
+    ptr, hops, latency, switches, back_hops, back_share = (
+        builder._route_tables(src, dst)
+    )
+    for i, (a, b) in enumerate(zip(src.tolist(), dst.tolist())):
+        got = [
+            (tuple(hops[r][hops[r] >= 0].tolist()), latency[r], switches[r])
+            for r in range(ptr[i], ptr[i + 1])
+        ]
+        assert got == reference_routes(builder, a, b), (a, b)
+        back = reference_routes(builder, b, a)
+        assert back_hops[i][back_hops[i] >= 0].tolist() == [
+            link for route in back for link in route[0]
+        ], (b, a)
+        assert back_share[i] == 1.0 / len(back)
+
+
+@given(
+    st.integers(1, 3), st.integers(1, 5), st.integers(1, 3), st.data()
+)
+@settings(max_examples=40, deadline=None)
+def test_dragonfly_route_tables_match_reference(p, a, h, data):
+    groups = data.draw(st.sampled_from([0, *range(2, a * h + 1)]))
+    _assert_route_tables_match_reference(DragonflyTopology(DragonflyParams(
+        p=p, a=a, h=h, num_groups=groups, latency_endpoint=1,
+        latency_local=3, latency_global=17,
+    )))
+
+
+@given(st.integers(1, 6), st.integers(1, 4), st.integers(1, 3))
+@settings(max_examples=40, deadline=None)
+def test_fattree_route_tables_match_reference(leaves, spines, p):
+    _assert_route_tables_match_reference(FatTreeTopology(
+        num_leaves=leaves, num_spines=spines, p=p, latency_up=13,
+    ))
+
+
+def test_single_switch_route_tables_match_reference():
+    _assert_route_tables_match_reference(SingleSwitchTopology(4, 4))
+
+
+def test_looping_next_ports_fail_to_converge(monkeypatch):
+    """A dragonfly whose route toward another group is a local hop to
+    the next switch of the same group circles forever."""
+
+    def in_circles(self, switch, group):
+        pos = self.pos_in_group(switch)
+        return self.local_port(switch, switch - pos + (pos + 1) % self.a)
+
+    monkeypatch.setattr(DragonflyTopology, "route_to_group", in_circles)
+    spec = ScenarioSpec(
+        config=micro_config(), traffic=(UniformTraffic(rate=0.5),)
+    )
+    with pytest.raises(EngineUnsupported, match="failed to converge"):
+        fastpath.FlowEngine().run(spec)

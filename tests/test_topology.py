@@ -71,6 +71,37 @@ class TestDragonflyCanonical:
                     _, gw, _ = spec.peer
                     assert t.has_global_to(gw, target)
 
+    @given(st.integers(1, 3), st.integers(1, 5), st.integers(1, 3), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_route_to_group_matches_a_search_of_the_wiring(self, p, a, h, data):
+        """Canonical (``groups=0``) and sub-canonical group counts: the
+        port toward each other group is the switch's own global link
+        there, else the local link to the group's one switch that has
+        it."""
+        groups = data.draw(st.sampled_from([0, *range(2, a * h + 1)]))
+        t = self._topo(p=p, a=a, h=h, groups=groups)
+
+        def globals_to(switch, target):
+            return [spec.port for spec in t.switch_ports(switch)
+                    if spec.link_class == "global"
+                    and t.group_of(spec.peer[1]) == target]
+
+        for s in range(t.num_switches):
+            members = [m for m in range(t.num_switches)
+                       if t.group_of(m) == t.group_of(s)]
+            for target in range(t.g):
+                if target == t.group_of(s):
+                    continue
+                own = globals_to(s, target)
+                if own:
+                    (want,) = own
+                else:
+                    (gateway,) = [m for m in members if globals_to(m, target)]
+                    (want,) = [spec.port for spec in t.switch_ports(s)
+                               if spec.link_class == "local"
+                               and spec.peer[1] == gateway]
+                assert t.route_to_group(s, target) == want
+
     def test_node_attachment(self):
         t = self._topo()
         for node in range(t.num_nodes):
