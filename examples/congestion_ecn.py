@@ -11,13 +11,14 @@ Run:  python examples/congestion_ecn.py
 """
 
 from repro.engine.stats import TimeSeries
-from repro.experiments.common import congestion_network, preset_by_name
+from repro.experiments.common import preset_by_name
+from repro.scenario import build_network, congestion_scenario
 from repro.traffic.aggressor import hotspot_scenario
 
 
 def run(variant: str) -> None:
     base = preset_by_name("tiny")
-    net = congestion_network(base, variant)
+    net = build_network(congestion_scenario(base, variant))
     onset = 3000
     scenario = hotspot_scenario(net, victim_rate=0.4, aggressor_start=onset)
     victims = frozenset(scenario.victim_nodes)

@@ -9,7 +9,8 @@ baseline vs the full-capacity reliability-stashing network.
 Run:  python examples/trace_replay.py
 """
 
-from repro.experiments.common import preset_by_name, reliability_network
+from repro.experiments.common import preset_by_name
+from repro.scenario import build_network, reliability_scenario
 from repro.trace import APP_REGISTRY, build_app, run_trace
 
 
@@ -20,7 +21,7 @@ def main() -> None:
     for app in apps:
         times = {}
         for variant in ("baseline", "stash100"):
-            net = reliability_network(base, variant)
+            net = build_network(reliability_scenario(base, variant))
             prog = build_app(
                 app, net.topology.num_nodes, size_scale=4, iterations=1
             )

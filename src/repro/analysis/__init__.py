@@ -17,7 +17,6 @@ from repro.analysis.obsview import (
     format_counters,
     load_trace,
     merged_counters,
-    timeline_chart,
     trace_lines,
     write_trace,
 )
@@ -36,7 +35,6 @@ __all__ = [
     "saturation_load",
     "stash_limited_injection_rate",
     "stash_per_endpoint_flits",
-    "timeline_chart",
     "trace_lines",
     "write_trace",
 ]

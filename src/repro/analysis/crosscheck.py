@@ -74,12 +74,6 @@ class CrossCheckRow:
         ) / self.cycle_throughput
 
     @property
-    def latency_ratio(self) -> float:
-        if self.cycle_latency <= 0:
-            return 1.0
-        return self.flow_latency / self.cycle_latency
-
-    @property
     def speedup(self) -> float:
         if self.flow_seconds <= 0:
             return float("inf")

@@ -2,7 +2,7 @@
 
 Subcommands::
 
-    run FILE --store DIR [--jobs N] [--shard i/N] [--batch N] [--metrics]
+    run FILE --store DIR [--jobs N] [--shard i/N] [--batch N]
     report FILE --store DIR
     merge DEST SOURCE [SOURCE ...]
     show FILE [--store DIR]
@@ -52,13 +52,10 @@ def _load(path: str) -> Campaign:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    from repro.obs.counters import CounterRegistry
-
     from repro.campaign.service import run_campaign
 
     campaign = _load(args.campaign)
     store = ResultStore(args.store)
-    registry = CounterRegistry()
 
     def progress(line: str) -> None:
         print(line, file=sys.stderr)
@@ -69,15 +66,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
         jobs=args.jobs,
         shard=args.shard,
         batch=args.batch,
-        registry=registry,
         progress=progress,
     )
     print(summary.format())
-    if args.metrics:
-        from repro.analysis.obsview import format_counters
-
-        print()
-        print(format_counters(registry.snapshot()))
     print(
         f"[{campaign.name}] compute time {summary.compute_seconds:.1f}s "
         f"across {summary.computed} point(s)",
@@ -169,10 +160,6 @@ def main(argv: list[str] | None = None) -> int:
         "--batch", type=int, default=None, metavar="N",
         help="admit at most N misses to the executor at a time "
         "(default: all; persistence is per-point either way)",
-    )
-    run_p.add_argument(
-        "--metrics", action="store_true",
-        help="print the campaign.* obs counter snapshot after the receipt",
     )
     run_p.set_defaults(func=_cmd_run)
 

@@ -13,9 +13,8 @@
    **batches**, persisting each result the moment its point completes —
    so a crash or ``kill -9`` at any instant loses at most the points
    in flight, and the next invocation resumes from the store;
-4. streams progress through :mod:`repro.obs` counters (harvestable by
-   any obs consumer) and an optional line sink (the CLI points it at
-   stderr).
+4. streams progress to an optional line sink (the CLI points it at
+   stderr) and returns the run's counts as a :class:`CampaignRunSummary`.
 
 Because results are persisted keyed by content (spec hash + engine +
 schema) and entry bytes are canonical, the store after *any* execution
@@ -37,7 +36,6 @@ from repro.campaign.spec import (
 from repro.campaign.store import CorruptEntryError, ResultStore
 from repro.engine.base import EngineResult
 from repro.engine.parallel import RunOutcome, run_specs
-from repro.obs.counters import CounterRegistry
 
 __all__ = ["CampaignRunSummary", "point_meta", "run_campaign", "run_points"]
 
@@ -136,7 +134,6 @@ def run_campaign(
     jobs: int = 1,
     shard: tuple[int, int] | None = None,
     batch: int | None = None,
-    registry: CounterRegistry | None = None,
     progress: ProgressSink | None = None,
 ) -> CampaignRunSummary:
     """Execute (the missing points of) a campaign shard into the store.
@@ -146,16 +143,12 @@ def run_campaign(
     bounds how many misses are admitted to the pool at once (``None`` =
     all of them); each completed point is persisted immediately either
     way, so batching only bounds in-flight work, not crash exposure.
-    ``registry`` (a :class:`repro.obs.CounterRegistry`) receives the
-    ``campaign.points.*`` / ``campaign.cache.*`` progress counters.
     """
-    reg = registry if registry is not None else CounterRegistry()
     say = progress if progress is not None else (lambda line: None)
 
     all_points = expand_campaign(campaign)
     points = shard_points(all_points, shard)
     shard_desc = shard if shard is not None else (0, 1)
-    reg.counter("campaign.points.total").add(len(points))
 
     # -- classify against the store -----------------------------------
     hits: list[CampaignPoint] = []
@@ -166,14 +159,12 @@ def run_campaign(
             entry = store.load(point.store_key())
         except CorruptEntryError as exc:
             corrupt += 1
-            reg.counter("campaign.cache.corrupt").add(1)
             say(f"[{campaign.name}] corrupt entry for {point.key!r}: {exc}")
             entry = None
         if entry is None:
             misses.append(point)
         else:
             hits.append(point)
-    reg.counter("campaign.points.hit").add(len(hits))
     for done, point in enumerate(hits, start=1):
         say(
             f"[{campaign.name} hit {done}/{len(hits)}] {point.key!r} "
@@ -190,7 +181,6 @@ def run_campaign(
             f"[{campaign.name}] batch {batch_no}/{len(batches)}: "
             f"admitting {len(admitted)} point(s) at jobs={jobs}"
         )
-        reg.counter("campaign.batches.admitted").add(1)
         by_key = {point.key: point for point in admitted}
         offset = computed
 
@@ -203,7 +193,6 @@ def run_campaign(
             result = outcome.value
             assert isinstance(result, EngineResult)
             store.put(point.store_key(), result, point_meta(point))
-            reg.counter("campaign.points.computed").add(1)
             compute_seconds += outcome.wall_seconds
             say(
                 f"[{campaign.name} run {offset + done}/{total_misses}] "

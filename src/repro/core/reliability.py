@@ -61,9 +61,6 @@ class EndToEndTracker:
             raise RuntimeError(f"packet {pid} already tracked at port {self.port}")
         self._records[pid] = TrackerRecord(pid=pid, size_flits=size_flits)
 
-    def is_tracked(self, pid: int) -> bool:
-        return pid in self._records
-
     def on_location(
         self, pid: int, stash_port: int, location: int
     ) -> SidebandMessage | None:

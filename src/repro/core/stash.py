@@ -18,10 +18,14 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from repro.core.banked_buffer import PAGE_FLITS
 from repro.switch.flit import Packet
 
 __all__ = ["StashDirectory", "StashJob", "StashPartition"]
+
+# The paper's two-bank port memory (Figure 4, Section III-B) interleaves
+# even and odd flit offsets, so a partition moves in pages of one even +
+# one odd slot.
+PAGE_FLITS = 2
 
 
 @dataclass(frozen=True)

@@ -55,7 +55,6 @@ class Endpoint:
         "_inject_rr",
         "ecn",
         "reorder",
-        "acks_enabled",
         "_pending_acks",
         "sources",
         "_source_nacs",
@@ -101,7 +100,6 @@ class Endpoint:
         self.reorder: ReorderBuffer | None = (
             ReorderBuffer(ordering.buffer_flits) if ordering.enabled else None
         )
-        self.acks_enabled = network.acks_enabled
         self._pending_acks: dict[int, tuple[int, int]] = {}  # pid -> (dst, size)
         self.sources: list[TrafficSource] = []
         # each source's next_active_cycle (None: it has none to report)
@@ -296,19 +294,18 @@ class Endpoint:
             # the reorder buffer or, if it is full, dropped and NACKed so
             # the first-hop stash retransmits them
             accepted, deliverable = self.reorder.accept(pkt)
-        if self.acks_enabled:
-            ack = Packet(
-                net.alloc_pid(),
-                self.node,
-                pkt.src,
-                1,
-                PacketKind.ACK,
-                birth_cycle=cycle,
-            )
-            ack.ack_for = pkt.pid
-            ack.ack_ecn = pkt.ecn
-            ack.ack_positive = not corrupted and accepted
-            self.ack_queue.append(ack)
+        ack = Packet(
+            net.alloc_pid(),
+            self.node,
+            pkt.src,
+            1,
+            PacketKind.ACK,
+            birth_cycle=cycle,
+        )
+        ack.ack_for = pkt.pid
+        ack.ack_ecn = pkt.ecn
+        ack.ack_positive = not corrupted and accepted
+        self.ack_queue.append(ack)
         if corrupted:
             self.packets_corrupted += 1
             return

@@ -342,7 +342,7 @@ class SimParams:
 class ObsParams:
     """Observability (:mod:`repro.obs`): counters and event tracing.
 
-    Disabled by default — the simulator then constructs no registry or
+    Disabled by default — the simulator then constructs no observer or
     trace at all, preserving the zero-overhead-when-off contract of
     docs/OBSERVABILITY.md.  ``trace_events`` restricts tracing to an
     allowlist of event types (empty = all); ``trace_start`` /

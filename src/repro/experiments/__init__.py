@@ -29,15 +29,11 @@ fattree     Reliability stashing on a leaf/spine fat-tree
 from repro.experiments.common import (
     CONGESTION_VARIANTS,
     RELIABILITY_VARIANTS,
-    congestion_network,
     preset_by_name,
-    reliability_network,
 )
 
 __all__ = [
     "CONGESTION_VARIANTS",
     "RELIABILITY_VARIANTS",
-    "congestion_network",
     "preset_by_name",
-    "reliability_network",
 ]

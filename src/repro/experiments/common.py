@@ -1,11 +1,13 @@
-"""Shared experiment plumbing: presets, variant networks, sweep entries.
+"""Shared experiment plumbing: presets, window scaling, sweep entries.
 
 The paper compares four networks in the reliability study (Section VI-A)
 — baseline (no stashing, unlimited outstanding packets) and stashing at
 100 % / 50 % / 25 % capacity — and three in the congestion study
 (Section VI-B): ECN baseline, ECN + stashing at 100 % and 50 %.  The
 variant tables live in :mod:`repro.scenario.spec`, so both engines
-resolve them identically.
+resolve them identically; a single network of either study is
+``build_network(reliability_scenario(base, variant).with_seed(seed))``
+(or ``congestion_scenario``), the one construction path.
 
 Every experiment that simulates builds a list of :class:`SweepEntry` —
 a stable key, the seed-derivation label, and an engine-agnostic
@@ -35,8 +37,6 @@ from repro.scenario.spec import (
     CONGESTION_VARIANTS,
     RELIABILITY_VARIANTS,
     ScenarioSpec,
-    congestion_scenario,
-    reliability_scenario,
 )
 
 __all__ = [
@@ -45,10 +45,8 @@ __all__ = [
     "RELIABILITY_VARIANTS",
     "SweepEntry",
     "check_axes",
-    "congestion_network",
     "preset_by_name",
     "quicken",
-    "reliability_network",
     "scenario_point",
 ]
 
@@ -65,8 +63,8 @@ def preset_by_name(name: str) -> NetworkConfig:
 
 
 def quicken(config: NetworkConfig, factor: float) -> NetworkConfig:
-    """Scale measurement windows by ``factor`` (<1 shortens runs; used by
-    the benchmark harness to keep wall-clock bounded)."""
+    """Scale measurement windows by ``factor`` (<1 shortens runs; the
+    runner's and a campaign file's ``quick`` mode use 0.5)."""
     sim = config.sim
     return config.with_(
         sim=replace(
@@ -76,31 +74,6 @@ def quicken(config: NetworkConfig, factor: float) -> NetworkConfig:
             drain_cycles=max(1000, int(sim.drain_cycles * factor)),
         )
     )
-
-
-# ----------------------------------------------------------------------
-# scenario-backed network builders (Section VI-A / VI-B)
-# ----------------------------------------------------------------------
-
-
-def reliability_network(base: NetworkConfig, variant: str, seed: int | None = None):
-    """A Section VI-A network: ACKs always on; stashing variants add
-    first-hop end-to-end retransmission storage.
-
-    Materialised through the scenario layer so every caller —
-    experiments, trace replay, tests — shares one construction path.
-    """
-    from repro.scenario.spec import build_network
-
-    return build_network(reliability_scenario(base, variant).with_seed(seed))
-
-
-def congestion_network(base: NetworkConfig, variant: str, seed: int | None = None):
-    """A Section VI-B network: ECN always on; stashing variants also
-    stash HoL-blocked packets while congestion notification converges."""
-    from repro.scenario.spec import build_network
-
-    return build_network(congestion_scenario(base, variant).with_seed(seed))
 
 
 # ----------------------------------------------------------------------

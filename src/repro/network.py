@@ -53,11 +53,9 @@ class Network:
         topology: Topology | None = None,
         router: Router | None = None,
         routing_mode: str = "par",
-        acks_enabled: bool = True,
     ) -> None:
         self.config = config
         self.rng = DeterministicRng(config.sim.seed)
-        self.acks_enabled = acks_enabled
         self.error_rate = config.reliability.error_rate
 
         if topology is None:

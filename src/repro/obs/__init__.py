@@ -13,26 +13,20 @@ Three instruments, by time scale:
   off; costs nothing during the run).
 * :class:`EventTrace` — per-cycle structured events (flit injections,
   stash store/retrieve/evict, credit stalls, ECN marks) behind sampling
-  filters, exported as JSONL or CSV with a stable schema.
+  filters, exported as JSONL with a stable schema.
 * :class:`Timeline` — periodic occupancy sampling per tile/port/switch,
-  rendered by :mod:`repro.analysis.obsview`.
+  read by the ``port_occupancy`` probe (:mod:`repro.scenario.probes`).
 
 See ``docs/OBSERVABILITY.md`` for the event taxonomy, naming
 convention, trace schema, and the determinism contract for traces
 merged across ``--jobs N`` worker processes.
 """
 
-from repro.obs.counters import (
-    Counter,
-    CounterRegistry,
-    merge_snapshots,
-)
 from repro.obs.events import (
     EVENT_TYPES,
     SCHEMA_FIELDS,
     SCHEMA_VERSION,
     EventTrace,
-    trace_csv_lines,
     trace_header_line,
     trace_record_line,
 )
@@ -42,13 +36,12 @@ from repro.obs.observer import (
     harvest,
     live_mark,
     merge_entries,
+    merge_snapshots,
     take_captures,
 )
 from repro.obs.timeline import Timeline
 
 __all__ = [
-    "Counter",
-    "CounterRegistry",
     "EVENT_TYPES",
     "EventTrace",
     "NetworkObserver",
@@ -61,7 +54,6 @@ __all__ = [
     "merge_entries",
     "merge_snapshots",
     "take_captures",
-    "trace_csv_lines",
     "trace_header_line",
     "trace_record_line",
 ]

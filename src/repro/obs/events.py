@@ -1,7 +1,7 @@
 """Structured per-cycle event traces with sampling filters.
 
 An :class:`EventTrace` collects fixed-shape records — one tuple per
-event — that serialize to JSONL or CSV under the stable schema
+event — that serialize to JSONL under the stable schema
 documented in docs/OBSERVABILITY.md.  Collection sits behind cheap
 filters (event allowlist, cycle window, per-event-type stride, and a
 hard record cap) so a trace of a long run stays bounded.
@@ -20,7 +20,6 @@ __all__ = [
     "EventTrace",
     "SCHEMA_FIELDS",
     "SCHEMA_VERSION",
-    "trace_csv_lines",
     "trace_header_line",
     "trace_record_line",
 ]
@@ -37,7 +36,7 @@ EVENT_TYPES = (
     "ecn.window_cut",
 )
 
-#: JSONL / CSV column order; every record carries exactly these fields.
+#: JSONL field order; every record carries exactly these fields.
 SCHEMA_FIELDS = ("run", "cycle", "event", "sw", "port", "vc", "pid", "value")
 
 #: Bumped whenever a field is added, removed, or reinterpreted.
@@ -158,16 +157,3 @@ def trace_record_line(run: str, record: tuple) -> str:
         },
         separators=(",", ":"),
     )
-
-
-def trace_csv_lines(entries: list[tuple[str, list[tuple]]]) -> list[str]:
-    """CSV rendering: a header row then one row per record.
-
-    ``entries`` pairs a run label with that run's records, already in
-    deterministic order (see :func:`repro.obs.observer.merge_entries`).
-    """
-    lines = [",".join(SCHEMA_FIELDS)]
-    for run, records in entries:
-        for cycle, event, sw, port, vc, pid, value in records:
-            lines.append(f"{run},{cycle},{event},{sw},{port},{vc},{pid},{value}")
-    return lines

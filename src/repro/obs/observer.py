@@ -34,6 +34,7 @@ __all__ = [
     "harvest",
     "live_mark",
     "merge_entries",
+    "merge_snapshots",
     "take_captures",
 ]
 
@@ -189,6 +190,29 @@ def harvest(net: "Network") -> dict[str, int]:
         ),
     }
     return dict(sorted(counters.items()))
+
+
+def merge_snapshots(snapshots: list[dict[str, int]]) -> dict[str, int]:
+    """Combine per-run :func:`harvest` snapshots: counters sum, peaks
+    take the max.
+
+    >>> merge_snapshots([{"a.b.c": 1, "a.b.peak_x": 5},
+    ...                  {"a.b.c": 2, "a.b.peak_x": 3}])
+    {'a.b.c': 3, 'a.b.peak_x': 5}
+
+    High-water marks are recognized by a ``peak_`` prefix on the metric
+    segment.
+    """
+    merged: dict[str, int] = {}
+    for snap in snapshots:
+        for name, value in snap.items():
+            if name not in merged:
+                merged[name] = value
+            elif name.rsplit(".", 1)[-1].startswith("peak_"):
+                merged[name] = max(merged[name], value)
+            else:
+                merged[name] += value
+    return {k: merged[k] for k in sorted(merged)}
 
 
 # -- process-local capture plumbing ------------------------------------

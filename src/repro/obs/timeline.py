@@ -4,8 +4,8 @@ A :class:`Timeline` tracks any number of named integer-valued probes
 (per-port DAMQ occupancy, per-tile buffered flits, stash commitment...)
 and samples them all every ``period`` cycles through one simulator
 sampler.  It replaces the ad-hoc closures experiments used to register
-directly with :meth:`repro.engine.simulator.Simulator.add_sampler`, and
-feeds the ASCII charts in :mod:`repro.analysis.obsview`.
+directly with :meth:`repro.engine.simulator.Simulator.add_sampler`; the
+``port_occupancy`` probe (:mod:`repro.scenario.probes`) reads its peaks.
 
 Probes are ordinary callables; closures are fine here because samplers
 run at ``period`` granularity, outside the per-component cycle loop.
@@ -81,17 +81,3 @@ class Timeline:
         """Largest sample of ``name`` (0 if never sampled)."""
         values = self._values[name]
         return max(values) if values else 0
-
-    def mean(self, name: str) -> float:
-        """Arithmetic mean of ``name``'s samples (0.0 if never sampled)."""
-        values = self._values[name]
-        return sum(values) / len(values) if values else 0.0
-
-    def rows(self) -> list[tuple]:
-        """Export: ``(cycle, value_0, value_1, ...)`` per sample point,
-        columns ordered as :attr:`names`."""
-        columns = [self._values[name] for name in self._names]
-        return [
-            (cycle, *(col[i] for col in columns))
-            for i, cycle in enumerate(self.cycles)
-        ]

@@ -442,7 +442,6 @@ def build_network(spec: ScenarioSpec) -> "Network":
         topology=topo,
         router=router,
         routing_mode=spec.routing_mode,
-        acks_enabled=True,
     )
     apply_traffic(net, spec)
     return net

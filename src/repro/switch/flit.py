@@ -125,16 +125,6 @@ class Packet:
         self.retransmissions = 0
 
     @property
-    def head_flit(self) -> Flit:
-        """The packet's first flit (carries routing state)."""
-        return self.flits[0]
-
-    @property
-    def tail_flit(self) -> Flit:
-        """The packet's last flit (its arrival completes delivery)."""
-        return self.flits[-1]
-
-    @property
     def latency(self) -> int:
         """Network latency: injection of head to ejection of tail."""
         if self.inject_cycle < 0 or self.eject_cycle < 0:

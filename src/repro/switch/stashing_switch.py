@@ -238,8 +238,3 @@ class StashingSwitch(TiledSwitch):
         """Fraction of this switch's stash capacity currently committed."""
         assert self.stash_dir is not None
         return self.stash_dir.utilization()
-
-    def stash_capacity_flits(self) -> int:
-        """Total stash capacity pooled across this switch's ports."""
-        assert self.stash_dir is not None
-        return self.stash_dir.total_capacity()

@@ -51,9 +51,6 @@ class FatTreeTopology(Topology):
     def is_leaf(self, switch: int) -> bool:
         return switch < self.num_leaves
 
-    def spine_id(self, switch: int) -> int:
-        return switch - self.num_leaves
-
     def node_switch(self, node: int) -> int:
         return node // self.p
 

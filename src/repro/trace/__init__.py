@@ -23,12 +23,6 @@ from repro.trace.mpi import (
 )
 from repro.trace.apps import APP_REGISTRY, AppSpec, build_app
 from repro.trace.replay import MpiReplay, run_trace
-from repro.trace.trace_format import (
-    dump_trace,
-    dumps_trace,
-    load_trace,
-    loads_trace,
-)
 
 __all__ = [
     "APP_REGISTRY",
@@ -39,10 +33,6 @@ __all__ = [
     "allreduce",
     "barrier",
     "build_app",
-    "dump_trace",
-    "dumps_trace",
-    "load_trace",
-    "loads_trace",
     "op_recv",
     "op_send",
     "run_trace",

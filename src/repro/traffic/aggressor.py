@@ -33,10 +33,6 @@ class AggressorScenario:
     aggressor_nodes: tuple[int, ...]
     hotspot_nodes: tuple[int, ...]
 
-    @property
-    def num_victims(self) -> int:
-        return len(self.victim_nodes)
-
 
 def hotspot_scenario(
     net: Network,

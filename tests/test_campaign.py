@@ -42,7 +42,6 @@ from repro.campaign.spec import expand_sweep, load_campaign
 from repro.campaign.store import encode_entry
 from repro.experiments.common import preset_by_name, quicken
 from repro.experiments.runner import QUICK_AXES
-from repro.obs.counters import CounterRegistry
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -418,7 +417,7 @@ class TestStore:
 
 
 # ----------------------------------------------------------------------
-# executor: caching, sharding, batching, counters
+# executor: caching, sharding, batching, the run receipt
 # ----------------------------------------------------------------------
 
 
@@ -430,15 +429,12 @@ class TestRunCampaign:
         assert (first.hits, first.computed) == (0, 4)
         before = store_bytes(tmp_path / "store")
 
-        reg = CounterRegistry()
-        second = run_campaign(campaign, store, registry=reg)
+        second = run_campaign(campaign, store)
         assert (second.hits, second.computed) == (4, 0)
         assert second.hit_rate == 1.0
         assert second.batches == 0
         assert store_bytes(tmp_path / "store") == before
-        snap = reg.snapshot()
-        assert snap["campaign.points.hit"] == 4
-        assert snap["campaign.points.total"] == 4
+        assert second.total_points == second.shard_points == 4
 
     def test_corrupt_entry_recomputed_not_served(self, tmp_path):
         campaign = tiny_flow_campaign()
@@ -448,15 +444,11 @@ class TestRunCampaign:
         [path, *_] = store.entry_paths()
         path.write_bytes(b'{"body": "gone"')
 
-        reg = CounterRegistry()
         lines: list[str] = []
-        summary = run_campaign(
-            campaign, store, registry=reg, progress=lines.append
-        )
+        summary = run_campaign(campaign, store, progress=lines.append)
         assert summary.corrupt == 1
         assert summary.computed == 1
         assert summary.hits == 3
-        assert reg.snapshot()["campaign.cache.corrupt"] == 1
         assert any("corrupt entry" in line for line in lines)
         # the recomputation restores the exact original bytes
         assert store_bytes(tmp_path / "store") == before
@@ -479,11 +471,9 @@ class TestRunCampaign:
 
     def test_batches_bound_admission_not_results(self, tmp_path):
         campaign = tiny_flow_campaign()
-        reg = CounterRegistry()
         store = ResultStore(tmp_path / "batched")
-        summary = run_campaign(campaign, store, batch=1, registry=reg)
+        summary = run_campaign(campaign, store, batch=1)
         assert summary.batches == 4
-        assert reg.snapshot()["campaign.batches.admitted"] == 4
 
         plain = ResultStore(tmp_path / "plain")
         run_campaign(campaign, plain)

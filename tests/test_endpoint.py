@@ -73,15 +73,6 @@ class TestAcks:
         # source received them: pending table empty
         assert not net.endpoints[0]._pending_acks
 
-    def test_acks_disabled(self):
-        net = single_switch_net()
-        net.acks_enabled = False
-        for ep in net.endpoints:
-            ep.acks_enabled = False
-        net.endpoints[0].post_message(1, 8, 0)
-        drain_and_check(net)
-        assert net.endpoints[0]._pending_acks  # never cleared: no ACKs
-
     def test_ack_latency_counts_in_flits(self):
         net = single_switch_net()
         net.endpoints[0].post_message(1, 4, 0)

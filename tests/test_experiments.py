@@ -14,12 +14,10 @@ from repro.engine.config import SimParams
 from repro.experiments.common import (
     CONGESTION_VARIANTS,
     RELIABILITY_VARIANTS,
-    congestion_network,
     preset_by_name,
     quicken,
-    reliability_network,
 )
-from repro.scenario import reliability_scenario
+from repro.scenario import build_network, congestion_scenario, reliability_scenario
 from tests.conftest import micro_config, sweep_rows
 
 
@@ -44,24 +42,26 @@ class TestCommon:
     def test_reliability_variants(self):
         base = fast_base()
         for variant, scale in RELIABILITY_VARIANTS.items():
-            net = reliability_network(base, variant)
+            net = build_network(reliability_scenario(base, variant))
             if scale is None:
                 assert net.switches[0].stash_dir is None
             else:
                 assert net.switches[0].reliability_on
-                cap_full = reliability_network(base, "stash100")
+                cap_full = build_network(reliability_scenario(base, "stash100"))
                 assert net.switches[0].stash_dir.total_capacity() <= \
                     cap_full.switches[0].stash_dir.total_capacity()
 
     def test_congestion_variants(self):
         base = fast_base()
         for variant, scale in CONGESTION_VARIANTS.items():
-            net = congestion_network(base, variant)
+            net = build_network(congestion_scenario(base, variant))
             assert net.switches[0].ecn_on
             assert net.switches[0].congestion_stash_on == (scale is not None)
 
     def test_seed_override(self):
-        net = reliability_network(fast_base(), "baseline", seed=77)
+        net = build_network(
+            reliability_scenario(fast_base(), "baseline").with_seed(77)
+        )
         assert net.config.sim.seed == 77
 
 

@@ -19,9 +19,9 @@ import pytest
 import repro.scenario.probes as probes
 from repro.engine.config import LinkParams, SimParams, tiny_preset
 from repro.experiments.fig5 import format_fig5
-from repro.experiments.common import congestion_network, reliability_network
 from repro.network import Network
 from repro.obs.timeline import Timeline
+from repro.scenario import build_network, congestion_scenario, reliability_scenario
 from repro.traffic.generators import BernoulliSource
 from repro.traffic.patterns import hotspot
 from tests.conftest import micro_config, model_counters, sweep_rows
@@ -74,7 +74,9 @@ def test_fig7_results_identical_across_kernels():
 
 
 def _latency_samples(kernel: str, variant: str, rate: float, seed: int):
-    net = reliability_network(_base(kernel, seed=seed), variant, seed=seed)
+    net = build_network(
+        reliability_scenario(_base(kernel, seed=seed), variant).with_seed(seed)
+    )
     net.add_uniform_traffic(rate=rate)
     net.run_standard()
     return model_counters(net), list(net.latency._samples)
@@ -104,7 +106,9 @@ def test_congestion_counters_identical_across_kernels(variant):
     cuts and congestion stashing count identically under both kernels."""
     by_kernel = {}
     for kernel in ("polling", "event"):
-        net = congestion_network(_base(kernel, seed=11), variant, seed=11)
+        net = build_network(
+            congestion_scenario(_base(kernel, seed=11), variant).with_seed(11)
+        )
         net.add_source(
             BernoulliSource(rate=1.0, msg_flits=4, pattern=hotspot([0])),
             range(1, net.topology.num_nodes),
@@ -137,7 +141,7 @@ def _occupancy_timeline(kernel: str, load: float, monkeypatch):
         seed=3, warmup_cycles=300, measure_cycles=3000, sample_period=25,
         kernel=kernel,
     ))
-    net = reliability_network(cfg, "stash100", seed=3)
+    net = build_network(reliability_scenario(cfg, "stash100").with_seed(3))
     probes.PROBES["port_occupancy"](net)
     net.add_uniform_traffic(rate=load)
     net.run_standard(drain=False)

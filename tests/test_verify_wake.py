@@ -20,8 +20,8 @@ import pytest
 
 from repro.engine.config import SimParams, tiny_preset
 from repro.engine.simulator import Simulator, WakeContractError
-from repro.experiments.common import reliability_network
 from repro.network import Network
+from repro.scenario import build_network, reliability_scenario
 from tests.conftest import micro_config
 
 
@@ -80,7 +80,7 @@ def _samples(variant: str, rate: float, seed: int, verify: bool):
                       drain_cycles=8000, sample_period=25,
                       verify_wake=verify)
     )
-    net = reliability_network(cfg, variant, seed=seed)
+    net = build_network(reliability_scenario(cfg, variant).with_seed(seed))
     net.add_uniform_traffic(rate=rate)
     net.run_standard()
     return net.sim.cycle, list(net.latency._samples)
