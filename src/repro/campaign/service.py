@@ -10,7 +10,8 @@
    **hit** and is never recomputed; a missing entry is a **miss**; a
    corrupt/truncated entry is counted and recomputed over;
 3. admits the misses to the ``--jobs`` process-pool executor in bounded
-   **batches**, persisting each result the moment its point completes —
+   **batches** (:func:`run_points`: seeds an engine does not read share
+   one solve), persisting each result the moment its solve completes —
    so a crash or ``kill -9`` at any instant loses at most the points
    in flight, and the next invocation resumes from the store;
 4. streams progress to an optional line sink (the CLI points it at
@@ -34,18 +35,20 @@ from repro.campaign.spec import (
     shard_points,
 )
 from repro.campaign.store import CorruptEntryError, ResultStore
-from repro.engine.base import EngineResult
+from repro.engine.base import EngineResult, get_engine
 from repro.engine.parallel import RunOutcome, run_specs
 
 __all__ = ["CampaignRunSummary", "point_meta", "run_campaign", "run_points"]
 
 ProgressSink = Callable[[str], None]
+PointProgress = Callable[[int, int, CampaignPoint, RunOutcome], None]
 
 
 @dataclass(frozen=True)
 class CampaignRunSummary:
     """What one :func:`run_campaign` invocation did.  Every field but
-    ``compute_seconds`` is deterministic, and :meth:`format` leaves that
+    ``compute_seconds`` (Σ solve seconds: a point that reused another's
+    solve adds none) is deterministic, and :meth:`format` leaves that
     one out, so receipts diff cleanly across reruns."""
 
     name: str
@@ -105,21 +108,38 @@ def point_meta(point: CampaignPoint) -> dict[str, Any]:
 def run_points(
     points: list[CampaignPoint],
     jobs: int = 1,
-    progress: Callable[[int, int, RunOutcome], None] | None = None,
+    progress: PointProgress | None = None,
 ) -> list[tuple[CampaignPoint, EngineResult]]:
     """Run every point on its engine; returns ``(point, result)`` rows
     in point order — the rows :func:`repro.analysis.campaign.campaign_rows`
     reads back from a store.
 
-    Deterministic for any ``jobs`` value on both engines: the cycle
-    engine via the points' derived seeds, the flow engine because it is
-    a pure function of the spec.  ``progress`` is the ``run_specs``
-    callback, called in this process as each point completes.
+    Points whose engine does not read the seed (``Engine.reads_seed``)
+    and whose specs are equal once it is cleared share one ``run_specs``
+    solve, so the ``jobs`` workers see only distinct problems; results
+    are identical for any ``jobs``.  ``progress(done, total, point,
+    outcome)`` is called here for every point as its solve completes; a
+    point that reused another's solve sees that one's key in
+    ``outcome.key``.
     """
-    outcomes = run_specs(
-        [point.run_spec() for point in points], jobs=jobs, progress=progress
-    )
-    return [(point, outcome.value) for point, outcome in zip(points, outcomes)]
+    groups: dict[Any, list[CampaignPoint]] = {}
+    for i, point in enumerate(points):
+        solve: Any = i  # a point whose engine reads its seed solves alone
+        if not get_engine(point.engine).reads_seed:
+            solve = (point.engine, point.spec.with_seed(None).spec_hash())
+        groups.setdefault(solve, []).append(point)
+    members = {group[0].key: group for group in groups.values()}
+    results: dict[tuple, EngineResult] = {}
+
+    def share(_solved: int, _solves: int, outcome: RunOutcome) -> None:
+        for point in members[outcome.key]:
+            results[point.key] = outcome.value
+            if progress is not None:
+                progress(len(results), len(points), point, outcome)
+
+    solves = [group[0].run_spec() for group in groups.values()]
+    run_specs(solves, jobs=jobs, progress=share)
+    return [(point, results[point.key]) for point in points]
 
 
 def _batched(items: list, size: int | None) -> list[list]:
@@ -151,12 +171,14 @@ def run_campaign(
     shard_desc = shard if shard is not None else (0, 1)
 
     # -- classify against the store -----------------------------------
+    # one spec hash per point per run, and hit lines only for a sink
+    keys = {point.index: point.store_key() for point in points}
     hits: list[CampaignPoint] = []
     misses: list[CampaignPoint] = []
     corrupt = 0
     for point in points:
         try:
-            entry = store.load(point.store_key())
+            entry = store.load(keys[point.index])
         except CorruptEntryError as exc:
             corrupt += 1
             say(f"[{campaign.name}] corrupt entry for {point.key!r}: {exc}")
@@ -165,11 +187,12 @@ def run_campaign(
             misses.append(point)
         else:
             hits.append(point)
-    for done, point in enumerate(hits, start=1):
-        say(
-            f"[{campaign.name} hit {done}/{len(hits)}] {point.key!r} "
-            f"({point.spec.spec_hash()[:12]})"
-        )
+    if progress is not None:
+        for done, point in enumerate(hits, start=1):
+            progress(
+                f"[{campaign.name} hit {done}/{len(hits)}] {point.key!r} "
+                f"({keys[point.index][0][:12]})"
+            )
 
     # -- admit misses in batches --------------------------------------
     batches = _batched(misses, batch)
@@ -181,22 +204,24 @@ def run_campaign(
             f"[{campaign.name}] batch {batch_no}/{len(batches)}: "
             f"admitting {len(admitted)} point(s) at jobs={jobs}"
         )
-        by_key = {point.key: point for point in admitted}
         offset = computed
 
-        def persist(done: int, total: int, outcome: RunOutcome) -> None:
-            # called in the parent process as each point completes —
-            # persisting here is what makes a SIGKILL lose only the
-            # points still in flight
+        def persist(done: int, total: int, point: CampaignPoint,
+                    outcome: RunOutcome) -> None:
+            # called in the parent process for each point as its solve
+            # completes — persisting here is what makes a SIGKILL lose
+            # only the points still in flight
             nonlocal compute_seconds
-            point = by_key[outcome.key]
             result = outcome.value
             assert isinstance(result, EngineResult)
-            store.put(point.store_key(), result, point_meta(point))
-            compute_seconds += outcome.wall_seconds
+            store.put(keys[point.index], result, point_meta(point))
+            timing = f"reuses {outcome.key!r}"
+            if outcome.key == point.key:
+                compute_seconds += outcome.wall_seconds
+                timing = f"{outcome.wall_seconds:.1f}s"
             say(
                 f"[{campaign.name} run {offset + done}/{total_misses}] "
-                f"{outcome.key!r} ({outcome.wall_seconds:.1f}s)"
+                f"{point.key!r} ({timing})"
             )
 
         computed += len(run_points(admitted, jobs=jobs, progress=persist))

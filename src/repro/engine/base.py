@@ -128,6 +128,8 @@ class Engine(Protocol):
     :class:`EngineResult`."""
 
     name: str
+    #: False when ``run`` never reads ``spec.seed`` (seed siblings share a run)
+    reads_seed: bool
 
     def run(self, spec: "ScenarioSpec") -> EngineResult:
         """Execute the scenario and return its aggregated stats."""
@@ -147,6 +149,7 @@ class CycleEngine:
     """
 
     name = "cycle"
+    reads_seed = True
 
     def run(self, spec: "ScenarioSpec") -> EngineResult:
         """Simulate the scenario flit-by-flit and aggregate its stats."""

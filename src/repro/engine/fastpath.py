@@ -530,6 +530,7 @@ class FlowEngine:
     """Flow-level fastpath behind the Engine protocol."""
 
     name = "flow"
+    reads_seed = False
 
     def run(self, spec: "ScenarioSpec") -> EngineResult:
         """Solve the scenario's fluid steady state and aggregate stats

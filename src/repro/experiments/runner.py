@@ -38,14 +38,14 @@ __all__ = ["main"]
 
 
 def _progress_printer(name: str):
-    """A run_specs progress callback reporting per-point timing on
+    """A run_points progress callback reporting per-point timing on
     stderr (stdout must stay byte-identical across --jobs values)."""
 
-    def progress(done: int, total: int, outcome) -> None:
+    def progress(done: int, total: int, point, outcome) -> None:
         cps = outcome.cycles_per_second
         cps_txt = f", {cps:.0f} cyc/s" if cps else ""
         print(
-            f"[{name} {done}/{total}] {outcome.key!r} "
+            f"[{name} {done}/{total}] {point.key!r} "
             f"({outcome.wall_seconds:.1f}s{cps_txt})",
             file=sys.stderr,
         )

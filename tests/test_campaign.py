@@ -490,6 +490,76 @@ class TestRunCampaign:
         assert a == b
         assert "cache     100.0%" in a
 
+    def test_seed_siblings_share_one_flow_solve(self, tmp_path, monkeypatch):
+        """12 flow points over 3 seeds are 4 fluid problems: 4 solves,
+        12 entries, each the bytes its own point computes alone."""
+        from repro.engine.fastpath import FlowEngine
+
+        solve = FlowEngine.run
+        solved = []
+        monkeypatch.setattr(
+            FlowEngine, "run",
+            lambda self, spec: solved.append(spec) or solve(self, spec),
+        )
+        campaign = tiny_flow_campaign(seeds=(1, 2, 3))
+        store = ResultStore(tmp_path / "serial")
+        lines: list[str] = []
+        summary = run_campaign(campaign, store, progress=lines.append)
+        assert len(solved) == 4
+        assert summary.computed == 12
+        for point in expand_campaign(campaign):
+            key = point.store_key()
+            assert store.path_for(key).read_bytes() == encode_entry(
+                key, solve(FlowEngine(), point.spec), point_meta(point)
+            )
+        assert "(2, 'stash25', 0.7) (reuses (1, 'stash25', 0.7))" in "\n".join(
+            lines
+        )
+        assert sum("reuses" in line for line in lines) == 8
+
+        for name, options in (("jobs2", {"jobs": 2}), ("batch1", {"batch": 1})):
+            run_campaign(campaign, ResultStore(tmp_path / name), **options)
+            assert store_bytes(tmp_path / name) == store_bytes(
+                tmp_path / "serial"
+            )
+
+    def test_cycle_points_are_never_shared(self, tmp_path, monkeypatch):
+        from repro.engine.base import CycleEngine
+
+        simulate = CycleEngine.run
+        ran = []
+        monkeypatch.setattr(
+            CycleEngine, "run",
+            lambda self, spec: ran.append(spec) or simulate(self, spec),
+        )
+        campaign = tiny_flow_campaign(
+            engine="cycle", seeds=(1, 2),
+            axes={"variants": ["baseline"], "loads": [0.3]},
+            windows=TestExpansion.MICRO_WINDOWS,
+        )
+        summary = run_campaign(campaign, ResultStore(tmp_path / "store"))
+        assert summary.computed == 2
+        assert [spec.seed for spec in ran] == [
+            point.derived_seed for point in expand_campaign(campaign)
+        ]
+
+    def test_warm_rerun_hashes_each_spec_once(self, tmp_path, monkeypatch):
+        from repro.scenario import ScenarioSpec
+
+        campaign = tiny_flow_campaign()
+        store = ResultStore(tmp_path / "store")
+        run_campaign(campaign, store)
+        spec_hash = ScenarioSpec.spec_hash
+        hashed = []
+        monkeypatch.setattr(
+            ScenarioSpec, "spec_hash",
+            lambda self: hashed.append(self) or spec_hash(self),
+        )
+        for sink in (None, [].append):
+            del hashed[:]
+            summary = run_campaign(campaign, store, progress=sink)
+            assert summary.hits == len(hashed) == 4
+
 
 # ----------------------------------------------------------------------
 # report + CLI

@@ -172,6 +172,28 @@ def test_flow_engine_byte_identical_to_capture():
     ))
 
 
+def test_flow_engine_reads_no_seed():
+    """Two seeds give equal flow results on every golden spec and on a
+    fat-tree point as the ``fattree`` sweep builds it — the premise on
+    which ``run_points`` solves seed siblings once."""
+    from repro.campaign.spec import expand_sweep
+    from repro.engine.fastpath import FlowEngine
+
+    [fattree] = expand_sweep(
+        "fattree", tiny_preset(), {"variants": ["stash25"], "loads": [0.7]},
+        (1,), "flow",
+    )
+    assert not FlowEngine.reads_seed
+    for label, spec in _flow_specs() + [(fattree.label, fattree.spec)]:
+        one = FlowEngine().run(spec.with_seed(1))
+        two = FlowEngine().run(spec.with_seed(2))
+        assert one == two and repr(one) == repr(two), (
+            f"{label}: the flow result moved with the seed, but run_points "
+            "shares one solve among points that differ only in seed "
+            "because FlowEngine.reads_seed is False"
+        )
+
+
 def test_probeless_spec_hash_unchanged_by_the_probes_field():
     """``probes=()`` stays out of the hash payload, so every spec that
     existed before the field hashes as it did (pinned from the parent
