@@ -20,11 +20,11 @@ import random
 from collections import deque
 from typing import TYPE_CHECKING, Callable
 
-from repro.engine.channel import Channel, CreditChannel
+from repro.engine.channel import Channel
 from repro.obs.events import EventTrace
 from repro.protocol.ecn import EcnWindows
 from repro.protocol.ordering import ReorderBuffer
-from repro.switch.damq import DamqMirror
+from repro.switch.damq import VcSpaceAccounting
 from repro.switch.flit import Message, Packet, PacketKind
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -80,9 +80,10 @@ class Endpoint:
 
         # wiring (assigned by the network builder)
         self.flit_out: Channel | None = None
-        self.credit_in: CreditChannel | None = None
+        self.credit_in: Channel | None = None
         self.flit_in: Channel | None = None
-        self.mirror: DamqMirror | None = None
+        # the first-hop switch input buffer, as seen from the NIC
+        self.mirror: VcSpaceAccounting | None = None
         # event trace when obs tracing is enabled, else None (zero cost)
         self.obs: EventTrace | None = None
 
@@ -245,25 +246,16 @@ class Endpoint:
     def _receive(self, cycle: int) -> None:
         ch = self.credit_in
         if ch is not None and self.mirror is not None:
-            q = ch._queue
-            if q and q[0][0] <= cycle:
-                release = self.mirror.space.release
-                while q and q[0][0] <= cycle:
-                    vc, n = q.popleft()[1]
-                    release(vc, n)
+            for vc, n in ch.recv_ready(cycle):
+                self.mirror.release(vc, n)
         ch = self.flit_in
         if ch is None:
             return
-        q = ch._queue
-        if not q or q[0][0] > cycle:
-            return
-        n_ejected = 0
-        while q and q[0][0] <= cycle:
-            _vc, flit = q.popleft()[1]
-            n_ejected += 1
+        flits = ch.recv_ready(cycle)
+        for _vc, flit in flits:
             if flit.tail:
                 self._deliver(flit.pkt, cycle)
-        self.flits_ejected += n_ejected
+        self.flits_ejected += len(flits)
 
     def _deliver(self, pkt: Packet, cycle: int) -> None:
         net = self.net
@@ -333,16 +325,9 @@ class Endpoint:
             self._start_next_data(cycle)
         if not streams:
             return
-        assert self.mirror is not None
-        # single-flit credit check, inlined from the mirror's accounting
-        space = self.mirror.space
-        committed = space.committed
-        reserves = space.reserves
-        shared_free = space._shared_used < space.shared_capacity
-        eligible = [
-            vc for vc in streams
-            if shared_free or committed[vc] < reserves[vc]
-        ]
+        mirror = self.mirror
+        assert mirror is not None
+        eligible = [vc for vc in streams if mirror.can_admit(vc, 1)]
         if not eligible:
             return
         # round-robin the channel between the active VC streams
@@ -354,15 +339,7 @@ class Endpoint:
         self._inject_rr = (vc + 1) % 8
         stream = streams[vc]
         pkt, idx = stream
-        # inline debit_flit(vc): the credit check above guarantees space
-        occ = committed[vc]
-        committed[vc] = occ + 1
-        if occ >= reserves[vc]:
-            space._shared_used += 1
-        total = space._total + 1
-        space._total = total
-        if total > space.peak_committed:
-            space.peak_committed = total
+        mirror.admit(vc, 1)
         flit = pkt.flits[idx]
         self.flit_out.send((vc, flit), cycle)
         self.flits_injected += 1

@@ -5,7 +5,7 @@ cycle-level simulation engine that the switch, endpoint, and protocol
 models plug into.
 """
 
-from repro.engine.channel import Channel, CreditChannel
+from repro.engine.channel import Channel
 from repro.engine.config import (
     EcnParams,
     NetworkConfig,
@@ -34,7 +34,6 @@ from repro.engine.stats import LatencyStats, RateMeter, TimeSeries
 __all__ = [
     "Channel",
     "Component",
-    "CreditChannel",
     "DeterministicRng",
     "EcnParams",
     "LatencyStats",

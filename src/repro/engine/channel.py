@@ -11,21 +11,22 @@ A channel may be bound to the simulator's wake list
 component at the delivery cycle, which is what lets the event kernel put
 idle consumers to sleep without missing arrivals.
 
-:class:`CreditChannel` is the same delay line specialised for credits, which
-travel opposite to flits on the paired reverse wire.
+Credits travel opposite to flits on a paired reverse channel, as
+``(vc, flits)`` tuples the sending output port applies to its mirror of
+the downstream input buffer.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Any, Generic, TypeVar
+from typing import TYPE_CHECKING, Generic, TypeVar
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.engine.simulator import Simulator
 
 T = TypeVar("T")
 
-__all__ = ["Channel", "CreditChannel"]
+__all__ = ["Channel"]
 
 
 class Channel(Generic[T]):
@@ -86,12 +87,6 @@ class Channel(Generic[T]):
             out.append(q.popleft()[1])
         return out
 
-    def peek_ready(self, cycle: int) -> T | None:
-        """The next due item without draining it, or None."""
-        if self._queue and self._queue[0][0] <= cycle:
-            return self._queue[0][1]
-        return None
-
     @property
     def next_deadline(self) -> int | None:
         """Delivery cycle of the oldest in-flight item, or None."""
@@ -108,15 +103,3 @@ class Channel(Generic[T]):
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Channel({self.name or '?'}, lat={self.latency}, n={len(self)})"
-
-
-class CreditChannel(Channel[Any]):
-    """Reverse-direction credit wire paired with a flit channel.
-
-    Credits are ``(vc, flits)`` tuples; the receiving output port applies
-    them to its mirror of the downstream input buffer.
-    """
-
-    def send_credit(self, vc: int, flits: int, cycle: int) -> None:
-        """Return ``flits`` credits for VC ``vc`` upstream."""
-        self.send((vc, flits), cycle)

@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, Any, Callable, Iterable
 
 from repro.endpoints.endpoint import Endpoint
 from repro.engine.base import EngineResult, GroupStats
-from repro.engine.channel import Channel, CreditChannel
+from repro.engine.channel import Channel
 from repro.engine.config import NetworkConfig
 from repro.engine.rng import DeterministicRng
 from repro.engine.simulator import Simulator
@@ -32,7 +32,7 @@ from repro.obs.observer import NetworkObserver, harvest
 from repro.routing import make_dragonfly_router
 from repro.routing.routing import Router
 from repro.routing.single_switch_routing import SingleSwitchRouter
-from repro.switch.damq import DamqMirror
+from repro.switch.damq import VcSpaceAccounting
 from repro.switch.flit import Message, Packet
 from repro.switch.stashing_switch import StashingSwitch
 from repro.switch.tiled_switch import TiledSwitch
@@ -180,7 +180,7 @@ class Network:
                     ip = sw.in_ports[spec.port]
                     op = sw.out_ports[spec.port]
                     inj = Channel(spec.latency, f"inj:{node}")
-                    inj_credit = CreditChannel(spec.latency, f"injcr:{node}")
+                    inj_credit = Channel(spec.latency, f"injcr:{node}")
                     ej = Channel(spec.latency, f"ej:{node}")
                     ep.flit_out = inj
                     ip.flit_in = inj
@@ -188,7 +188,7 @@ class Network:
                     ep.credit_in = inj_credit
                     op.flit_out = ej
                     ep.flit_in = ej
-                    ep.mirror = DamqMirror(
+                    ep.mirror = VcSpaceAccounting(
                         total_vcs, ip.damq.capacity, ip.damq.space.reserves
                     )
                     op.mirror = None  # endpoints always sink
@@ -210,12 +210,12 @@ class Network:
             out = self.switches[sx].out_ports[px]
             inp = self.switches[sy].in_ports[py]
             flit_ch = Channel(latency, f"l:{sx}.{px}->{sy}.{py}")
-            credit_ch = CreditChannel(latency, f"c:{sy}.{py}->{sx}.{px}")
+            credit_ch = Channel(latency, f"c:{sy}.{py}->{sx}.{px}")
             out.flit_out = flit_ch
             inp.flit_in = flit_ch
             inp.credit_out = credit_ch
             out.credit_in = credit_ch
-            out.mirror = DamqMirror(
+            out.mirror = VcSpaceAccounting(
                 total_vcs, inp.damq.capacity, inp.damq.space.reserves
             )
             out.retention = 2 * latency + 4

@@ -5,7 +5,7 @@ the stashing switch (Section III, Figure 3) at flit granularity.
 """
 
 from repro.switch.flit import Flit, Message, Packet, PacketKind
-from repro.switch.damq import Damq, DamqMirror
+from repro.switch.damq import Damq, VcSpaceAccounting
 from repro.switch.arbiters import RoundRobinArbiter, VcStreamLock
 from repro.switch.allocators import SeparableOutputFirstAllocator
 from repro.switch.tiled_switch import TiledSwitch
@@ -13,7 +13,6 @@ from repro.switch.stashing_switch import StashingSwitch
 
 __all__ = [
     "Damq",
-    "DamqMirror",
     "Flit",
     "Message",
     "Packet",
@@ -22,5 +21,6 @@ __all__ = [
     "SeparableOutputFirstAllocator",
     "StashingSwitch",
     "TiledSwitch",
+    "VcSpaceAccounting",
     "VcStreamLock",
 ]

@@ -51,18 +51,14 @@ class VcStreamLock:
     """Per-VC source lock: while a packet streams from one source into a
     shared per-VC queue, no other source may interleave on that VC.
 
-    ``holder(vc)`` is None when the VC is free; ``acquire`` is called when
-    a head flit wins, ``release`` when the tail flit passes.
+    ``acquire`` is called when a head flit wins, ``release`` when the
+    tail flit passes.
     """
 
     __slots__ = ("_holders",)
 
     def __init__(self, num_vcs: int) -> None:
         self._holders: list[Hashable | None] = [None] * num_vcs
-
-    def holder(self, vc: int) -> Hashable | None:
-        """The source currently streaming on ``vc``, or None."""
-        return self._holders[vc]
 
     def available_to(self, vc: int, source: Hashable) -> bool:
         """True if ``source`` may send on ``vc`` (free or held by it)."""
@@ -84,10 +80,3 @@ class VcStreamLock:
                 f"{self._holders[vc]!r}"
             )
         self._holders[vc] = None
-
-    def on_flit(self, vc: int, source: Hashable, head: bool, tail: bool) -> None:
-        """Acquire on head, release on tail (single-flit packets do both)."""
-        if head:
-            self.acquire(vc, source)
-        if tail:
-            self.release(vc, source)

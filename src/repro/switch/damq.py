@@ -1,4 +1,4 @@
-"""Dynamically Allocated Multi-Queue (DAMQ) buffers and credit mirrors.
+"""Dynamically Allocated Multi-Queue (DAMQ) buffers and their space accounting.
 
 The paper's ports share one physical memory among six network VCs using a
 DAMQ (Tamir & Frazier), and the stashing switch carves a stash partition
@@ -11,11 +11,15 @@ Flow-control discipline
 -----------------------
 Credits are **flit-granular**, as in BookSim: a flit (head or body) may
 advance into a downstream buffer whenever at least one slot is available
-to its VC (tracked upstream through a :class:`DamqMirror`); credits
-return one per flit as flits *leave* the downstream buffer.  Wormhole
-packets therefore trickle through minimal free space, and the per-VC
-private reserves needed for deadlock freedom are one or two flits rather
-than whole packets, keeping the shared pool — and thus the queueing depth
+to its VC; credits return one per flit as flits *leave* the downstream
+buffer.  The sender tracks that space in a :class:`VcSpaceAccounting`
+mirror of the downstream buffer (``admit`` per flit sent, ``release``
+per credit returned); both sides apply the same rules, so the mirror is
+a conservative image of the downstream buffer (it leads arrivals and
+lags pops by one link latency each way).  Wormhole packets therefore
+trickle through minimal free space, and the per-VC private reserves
+needed for deadlock freedom are one or two flits rather than whole
+packets, keeping the shared pool — and thus the queueing depth
 available before head-of-line blocking — large.
 """
 
@@ -25,7 +29,7 @@ from collections import deque
 
 from repro.switch.flit import Flit
 
-__all__ = ["Damq", "DamqMirror", "VcSpaceAccounting"]
+__all__ = ["Damq", "VcSpaceAccounting"]
 
 
 class VcSpaceAccounting:
@@ -141,8 +145,10 @@ class Damq:
     """A real DAMQ buffer: per-VC flit FIFOs over shared-pool accounting.
 
     ``admit_flit`` + ``push`` file one arriving flit (space is guaranteed
-    by the sender's mirror); ``pop`` releases one flit of space, and the
-    caller is responsible for sending the corresponding credit upstream.
+    by the sender's mirror).  Input ports pop and release a flit in one
+    step (inlined in ``InputPort._advance_vc``, which then owes the
+    upstream sender one credit); output ports ``pop_no_release`` and
+    release when the link-level retention expires.
     """
 
     __slots__ = ("space", "queues", "flit_count", "occ_mask")
@@ -158,18 +164,9 @@ class Damq:
         self.occ_mask = 0
 
     @property
-    def num_vcs(self) -> int:
-        """Number of virtual-channel FIFOs sharing this buffer."""
-        return self.space.num_vcs
-
-    @property
     def capacity(self) -> int:
         """Total flit capacity of the shared physical memory."""
         return self.space.capacity
-
-    def can_admit(self, vc: int, flits: int = 1) -> bool:
-        """True if ``flits`` arriving flits of VC ``vc`` would fit."""
-        return self.space.can_admit(vc, flits)
 
     def admit_flit(self, vc: int) -> None:
         """Account one arriving flit of VC ``vc`` (space must be free)."""
@@ -180,23 +177,6 @@ class Damq:
         self.queues[vc].append(flit)
         self.flit_count += 1
         self.occ_mask |= 1 << vc
-
-    def front(self, vc: int) -> Flit | None:
-        """The head flit of VC ``vc``, or None when its FIFO is empty."""
-        q = self.queues[vc]
-        return q[0] if q else None
-
-    def pop(self, vc: int) -> Flit:
-        """Remove VC ``vc``'s head flit and release its space.
-
-        The caller owes the upstream sender one credit for it."""
-        q = self.queues[vc]
-        flit = q.popleft()
-        if not q:
-            self.occ_mask &= ~(1 << vc)
-        self.flit_count -= 1
-        self.space.release(vc, 1)
-        return flit
 
     def pop_no_release(self, vc: int) -> Flit:
         """Pop a flit but keep its space committed.  Used by output
@@ -209,10 +189,6 @@ class Damq:
             self.occ_mask &= ~(1 << vc)
         self.flit_count -= 1
         return flit
-
-    def vc_flits(self, vc: int) -> int:
-        """Flits currently queued on VC ``vc``."""
-        return len(self.queues[vc])
 
     @property
     def total_flits(self) -> int:
@@ -232,43 +208,3 @@ class Damq:
     def occupancy_fraction(self) -> float:
         """Committed occupancy over capacity (drives ECN detection)."""
         return self.space.occupancy_fraction()
-
-    @property
-    def empty(self) -> bool:
-        """True when no flits are queued and no space is committed."""
-        return self.total_flits == 0 and self.space.total_committed == 0
-
-
-class DamqMirror:
-    """Upstream credit-side mirror of a downstream :class:`Damq`.
-
-    Debits one flit per flit sent (`debit_flit`), credits one flit per
-    returning credit (`credit`).  Because both sides use the same
-    :class:`VcSpaceAccounting` rules, the mirror is always a conservative
-    image of the downstream buffer (it leads arrivals and lags pops by
-    one link latency each way).
-    """
-
-    __slots__ = ("space",)
-
-    def __init__(
-        self, num_vcs: int, capacity: int, reserve: "int | list[int]"
-    ) -> None:
-        self.space = VcSpaceAccounting(num_vcs, capacity, reserve)
-
-    def can_send_flit(self, vc: int) -> bool:
-        """True if the downstream buffer has credit for one ``vc`` flit."""
-        return self.space.can_admit(vc, 1)
-
-    def debit_flit(self, vc: int) -> None:
-        """Consume one ``vc`` credit for a flit just sent downstream."""
-        self.space.admit(vc, 1)
-
-    def credit(self, vc: int, flits: int = 1) -> None:
-        """Apply ``flits`` returning credits for VC ``vc``."""
-        self.space.release(vc, flits)
-
-    @property
-    def in_flight(self) -> int:
-        """Flits sent but not yet credited back by the downstream buffer."""
-        return self.space.total_committed

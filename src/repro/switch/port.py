@@ -18,10 +18,10 @@ from collections import deque
 from typing import TYPE_CHECKING
 
 from repro.core.stash import StashJob, StashPartition
-from repro.engine.channel import Channel, CreditChannel
+from repro.engine.channel import Channel
 from repro.obs.events import EventTrace
 from repro.switch.arbiters import RoundRobinArbiter, VcStreamLock
-from repro.switch.damq import Damq, DamqMirror
+from repro.switch.damq import Damq, VcSpaceAccounting
 from repro.switch.flit import Flit, PacketKind
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -82,7 +82,7 @@ class InputPort:
         self.is_end_port = idx in sw.end_port_set
         self.damq = Damq(sw.total_vcs, normal_capacity, reserve=reserves)
         self.flit_in: Channel | None = None
-        self.credit_out: CreditChannel | None = None
+        self.credit_out: Channel | None = None
         # link-level retransmission receiver (switch-to-switch links
         # only, when LinkParams.enabled); see repro.protocol.link
         self.link_rx: LinkReceiver | None = None
@@ -254,21 +254,7 @@ class InputPort:
 
         if not eligible:
             return
-        # rotating-priority pick over the eligible slots, inlined
-        arb = self.rb_arbiter
-        if len(eligible) == 1:
-            winner = eligible[0]
-        else:
-            pivot = arb._next
-            n_arb = arb.n
-            winner = eligible[0]
-            best = (winner - pivot) % n_arb
-            for cand in eligible[1:]:
-                d = (cand - pivot) % n_arb
-                if d < best:
-                    best = d
-                    winner = cand
-        arb._next = (winner + 1) % arb.n
+        winner = self.rb_arbiter.pick(eligible)
         if winner == total_vcs:
             self._advance_retrieval(cycle)
         else:
@@ -364,6 +350,7 @@ class InputPort:
     ) -> None:
         sw = self.sw
         kind, col, stash_col, job = plan
+        # inline queue pop + space.release(vc, 1)
         damq = self.damq
         q = damq.queues[vc]
         flit = q.popleft()
@@ -417,12 +404,7 @@ class InputPort:
 
         row_tiles = sw.tiles[self.row]
         if kind == _NORMAL:
-            # inline tile.receive (vc is never the S VC on this path)
-            tile = row_tiles[col]
-            tile.queues[self.slot][vc].append(flit)
-            tile.occ[self.slot] |= 1 << vc
-            tile.flit_count += 1
-            tile.blocked = False
+            row_tiles[col].receive(self.slot, vc, flit, None)
         elif kind == _DUP:
             # multi-drop broadcast: the same wire value is latched by the
             # normal VC buffer and the storage VC buffer simultaneously,
@@ -591,9 +573,10 @@ class OutputPort:
         # the partition write port serves one packet stream at a time
         self.sdrain_stream: int | None = None
         self.out_damq = Damq(sw.total_vcs, normal_capacity, reserve=reserves)
-        self.mirror: DamqMirror | None = None
+        # downstream input buffer space, as seen from this end of the link
+        self.mirror: VcSpaceAccounting | None = None
         self.flit_out: Channel | None = None
-        self.credit_in: CreditChannel | None = None
+        self.credit_in: Channel | None = None
         # link-level retransmission: output-buffer space is held for one
         # link round trip after transmission (Section II)
         self.retention = 4
@@ -630,12 +613,11 @@ class OutputPort:
         mirror = self.mirror
         if ch is None or mirror is None:
             return
-        q = ch._queue
-        if not q or q[0][0] > cycle:
+        credits = ch.recv_ready(cycle)
+        if not credits:
             return
-        release = mirror.space.release
-        while q and q[0][0] <= cycle:
-            vc, n = q.popleft()[1]
+        release = mirror.release
+        for vc, n in credits:
             if vc == -1:
                 self._apply_link_control(n)
             else:
@@ -658,16 +640,9 @@ class OutputPort:
     def release_retained(self, cycle: int) -> None:
         """Free output-buffer space whose implicit-ack retention expired."""
         pending = self.pending_release
-        space = self.out_damq.space
-        committed = space.committed
-        reserves = space.reserves
+        release = self.out_damq.space.release
         while pending and pending[0][0] <= cycle:
-            _, vc = pending.popleft()
-            occ = committed[vc]
-            if occ > reserves[vc]:
-                space._shared_used -= 1
-            committed[vc] = occ - 1
-            space._total -= 1
+            release(pending.popleft()[1])
         self._mux_blocked = False  # output-buffer space freed
 
     # ------------------------------------------------------------------
@@ -735,21 +710,7 @@ class OutputPort:
             # holder release arrives; all three clear the latch
             self._mux_blocked = True
             return
-        # rotating-priority pick over (row, vc) keys, inlined
-        arb = self.mux_arbiter
-        if len(eligible) == 1:
-            key = eligible[0]
-        else:
-            pivot = arb._next
-            n_arb = arb.n
-            key = eligible[0]
-            best = (key - pivot) % n_arb
-            for k in eligible[1:]:
-                d = (k - pivot) % n_arb
-                if d < best:
-                    best = d
-                    key = k
-        arb._next = (key + 1) % arb.n
+        key = self.mux_arbiter.pick(eligible)
         row, vc = divmod(key, total_vcs)
         dest = dests[key]
         q = col_buffers[row][vc]
@@ -865,18 +826,16 @@ class OutputPort:
         queues = damq.queues
         link_streams = self.link_streams
         mirror = self.mirror
-        # single-flit downstream-credit check, inlined from the mirror's
-        # VcSpaceAccounting (see mux_pass); the scan admits nothing, so
-        # the shared-pool headroom is loop-invariant
+        # single-flit downstream-credit check, inlined from
+        # VcSpaceAccounting.can_admit (see mux_pass); the scan admits
+        # nothing, so the shared-pool headroom is loop-invariant
         if mirror is None:
-            m_space = None
             m_committed = m_reserves = None
             m_shared_free = True
         else:
-            m_space = mirror.space
-            m_committed = m_space.committed
-            m_reserves = m_space.reserves
-            m_shared_free = m_space._shared_used < m_space.shared_capacity
+            m_committed = mirror.committed
+            m_reserves = mirror.reserves
+            m_shared_free = mirror._shared_used < mirror.shared_capacity
         link_holders = self.link_lock._holders
         is_end_port = self.is_end_port
         mask = damq.occ_mask
@@ -919,40 +878,22 @@ class OutputPort:
                 self.obs.emit(cycle, "credit.stall", sw.switch_id, self.idx,
                               -1, -1, damq.flit_count)
             return
-        # rotating-priority pick over the eligible VCs, inlined
-        arb = self.link_arbiter
-        if len(eligible) == 1:
-            vc = eligible[0]
-        else:
-            pivot = arb._next
-            n_arb = arb.n
-            vc = eligible[0]
-            best = (vc - pivot) % n_arb
-            for cand in eligible[1:]:
-                d = (cand - pivot) % n_arb
-                if d < best:
-                    best = d
-                    vc = cand
-        arb._next = (vc + 1) % arb.n
+        vc = self.link_arbiter.pick(eligible)
         link_vc = link_vcs[vc]
-        # inline damq.pop_no_release (space stays committed until the
-        # link-level acknowledgment round trip completes)
-        q = queues[vc]
-        flit = q.popleft()
-        if not q:
-            damq.occ_mask &= ~(1 << vc)
-        damq.flit_count -= 1
+        # space stays committed until the link-level acknowledgment
+        # round trip completes
+        flit = damq.pop_no_release(vc)
         pkt = flit.pkt
-        if m_space is not None:
-            # inline mirror.debit_flit(link_vc): eligibility checked above
+        if mirror is not None:
+            # inline mirror.admit(link_vc, 1): eligibility checked above
             occ = m_committed[link_vc]
             m_committed[link_vc] = occ + 1
             if occ >= m_reserves[link_vc]:
-                m_space._shared_used += 1
-            total = m_space._total + 1
-            m_space._total = total
-            if total > m_space.peak_committed:
-                m_space.peak_committed = total
+                mirror._shared_used += 1
+            total = mirror._total + 1
+            mirror._total = total
+            if total > mirror.peak_committed:
+                mirror.peak_committed = total
         if flit.head:
             self.link_lock.acquire(link_vc, vc)
             link_streams[vc] = link_vc
@@ -972,19 +913,7 @@ class OutputPort:
         else:
             # implicit-ack model: space frees one link round trip later
             self.pending_release.append((cycle + self.retention, vc))
-            # inline ch.send((link_vc, flit), cycle)
-            deliver = cycle + ch.latency
-            chq = ch._queue
-            if chq and deliver < chq[-1][0]:
-                raise ValueError(
-                    f"out-of-order send on {ch.name or 'channel'}: cycle "
-                    f"{cycle} is below the queue tail's "
-                    f"{chq[-1][0] - ch.latency}"
-                )
-            chq.append((deliver, (link_vc, flit)))
-            ws = ch._wake_sim
-            if ws is not None and ws._status[ch._wake_idx] > deliver:
-                ws.wake(ch._wake_idx, deliver)
+            ch.send((link_vc, flit), cycle)
         sw.inflight -= 1
         self.flits_sent += 1
 

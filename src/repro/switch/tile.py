@@ -158,7 +158,8 @@ class Tile:
                         out = pkt.intended_out_port % num_outputs
                     else:
                         out = pkt.out_port % num_outputs
-                    # inline _head_ok
+                    # a head starts only with a column-buffer credit and
+                    # the output's VC stream lock free to this slot
                     if col_credits[out][vc] < 1 or not locks[
                         out
                     ].available_to(vc, slot):

@@ -383,7 +383,7 @@ class TiledSwitch:
         op = self.out_ports[port]
         depth = op.out_damq.total_committed
         if op.mirror is not None:
-            depth += op.mirror.in_flight
+            depth += op.mirror.total_committed
         return depth
 
     # -- stashing hooks (no-ops on the baseline) ---------------------------

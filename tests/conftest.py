@@ -188,3 +188,25 @@ def drain_and_check(net: Network, max_cycles: int = 60000) -> None:
     for ep in net.endpoints:
         queued = sum(p.size for q in ep.send_queues.values() for p in q)
         assert ep.backlog_flits == queued == 0
+    # VC-space conservation: once each switch settles the credit returns
+    # and retention releases it deferred while idle, every DAMQ and every
+    # switch-side mirror is empty.  An endpoint mirror still counts the
+    # credits waiting on its credit wire, which is deliberately unbound
+    # (docs/WAKE_CONTRACT.md) and drained only at the endpoint's next step.
+    cycle = net.sim.cycle
+    for sw in net.switches:
+        sw.settle(cycle)
+        spaces = [ip.damq.space for ip in sw.in_ports]
+        spaces += [op.out_damq.space for op in sw.out_ports]
+        spaces += [op.mirror for op in sw.out_ports if op.mirror is not None]
+        for space in spaces:
+            where = (sw.switch_id, space.committed)
+            assert space.committed == [0] * space.num_vcs, where
+            assert space._shared_used == 0 == space.total_committed, where
+    for ep in net.endpoints:
+        if ep.mirror is None:
+            continue
+        owed = [0] * ep.mirror.num_vcs
+        for _due, (vc, n) in ep.credit_in._queue:
+            owed[vc] += n
+        assert ep.mirror.committed == owed, (ep.node, owed)

@@ -83,15 +83,3 @@ class TestVcStreamLock:
         lock.acquire(0, "a")
         with pytest.raises(RuntimeError):
             lock.release(0, "b")
-
-    def test_on_flit_single_flit_packet(self):
-        lock = VcStreamLock(1)
-        lock.on_flit(0, "a", head=True, tail=True)
-        assert lock.holder(0) is None
-
-    def test_on_flit_stream(self):
-        lock = VcStreamLock(1)
-        lock.on_flit(0, "a", head=True, tail=False)
-        assert lock.holder(0) == "a"
-        lock.on_flit(0, "a", head=False, tail=True)
-        assert lock.holder(0) is None

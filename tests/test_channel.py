@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.engine.channel import Channel, CreditChannel
+from repro.engine.channel import Channel
 
 
 def test_latency_respected():
@@ -30,15 +30,6 @@ def test_batch_delivery_same_cycle():
     assert list(ch.recv_ready(6)) == ["x", "y"]
 
 
-def test_peek_does_not_consume():
-    ch = Channel(1)
-    ch.send("x", 0)
-    assert ch.peek_ready(1) == "x"
-    assert ch.peek_ready(1) == "x"
-    assert list(ch.recv_ready(1)) == ["x"]
-    assert ch.peek_ready(1) is None
-
-
 def test_empty_and_len():
     ch = Channel(1)
     assert ch.empty
@@ -53,8 +44,9 @@ def test_zero_latency_rejected():
 
 
 def test_credit_channel_tuples():
-    ch = CreditChannel(2)
-    ch.send_credit(vc=3, flits=2, cycle=0)
+    # a credit wire is a plain channel of (vc, flits) tuples
+    ch = Channel(2)
+    ch.send((3, 2), cycle=0)
     assert list(ch.recv_ready(2)) == [(3, 2)]
 
 
@@ -99,10 +91,3 @@ def test_send_same_cycle_is_in_order():
     ch.send("b", cycle=4)  # equal cycles are fine (batched sends)
     ch.send("c", cycle=5)
     assert ch.recv_ready(6) == ["a", "b", "c"]
-
-
-def test_credit_channel_inherits_monotonic_contract():
-    ch = CreditChannel(3)
-    ch.send_credit(vc=1, flits=2, cycle=8)
-    with pytest.raises(ValueError):
-        ch.send_credit(vc=1, flits=2, cycle=5)

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.switch.damq import Damq, DamqMirror, VcSpaceAccounting
+from repro.switch.damq import Damq, VcSpaceAccounting
 from repro.switch.flit import Packet
 
 
@@ -74,20 +74,21 @@ class TestDamq:
         d = Damq(num_vcs=2, capacity=16, reserve=0)
         pkt = self._pkt(4)
         for f in pkt.flits:
-            assert d.can_admit(0)
+            assert d.space.can_admit(0, 1)
             d.admit_flit(0)
             d.push(0, f)
-        assert d.vc_flits(0) == 4
+        assert len(d.queues[0]) == d.total_flits == 4
         assert d.total_committed == 4
-        out = [d.pop(0) for _ in range(4)]
+        out = [d.pop_no_release(0) for _ in range(4)]
         assert out == pkt.flits
-        assert d.empty
+        d.space.release(0, 4)
+        assert d.total_flits == d.total_committed == d.occ_mask == 0
 
     def test_admit_respects_capacity(self):
         d = Damq(1, 2, 0)
         d.admit_flit(0)
         d.admit_flit(0)
-        assert not d.can_admit(0)
+        assert not d.space.can_admit(0, 1)
         with pytest.raises(RuntimeError):
             d.admit_flit(0)
 
@@ -101,14 +102,6 @@ class TestDamq:
         d.space.release(0, 1)
         assert d.total_committed == 0
 
-    def test_front_peeks(self):
-        d = Damq(1, 8, 0)
-        pkt = self._pkt(2)
-        d.admit_flit(0)
-        d.push(0, pkt.flits[0])
-        assert d.front(0) is pkt.flits[0]
-        assert d.front(0) is pkt.flits[0]
-
     def test_occupancy_fraction(self):
         d = Damq(1, 10, 0)
         for _ in range(5):
@@ -121,29 +114,30 @@ class TestMirrorProtocol:
 
     def test_mirror_and_real_agree(self):
         real = Damq(num_vcs=2, capacity=12, reserve=0)
-        mirror = DamqMirror(num_vcs=2, capacity=12, reserve=0)
+        mirror = VcSpaceAccounting(num_vcs=2, capacity=12, reserve=0)
         p1, p2 = Packet(1, 0, 1, 4), Packet(2, 0, 1, 4)
 
         for f in p1.flits:
-            assert mirror.can_send_flit(0)
-            mirror.debit_flit(0)
+            assert mirror.can_admit(0, 1)
+            mirror.admit(0, 1)
             real.admit_flit(0)
             real.push(0, f)
         for f in p2.flits:
-            mirror.debit_flit(1)
+            mirror.admit(1, 1)
             real.admit_flit(1)
             real.push(1, f)
 
-        assert mirror.in_flight == real.total_committed == 8
+        assert mirror.total_committed == real.total_committed == 8
         for _ in range(4):
-            mirror.debit_flit(0)
-        assert not mirror.can_send_flit(0)
+            mirror.admit(0, 1)
+        assert not mirror.can_admit(0, 1)
 
         # downstream pops two flits and returns credits
-        real.pop(0)
-        real.pop(0)
-        mirror.credit(0, 2)
-        assert mirror.in_flight - 4 == real.total_committed == 6
+        real.pop_no_release(0)
+        real.pop_no_release(0)
+        real.space.release(0, 2)
+        mirror.release(0, 2)
+        assert mirror.total_committed - 4 == real.total_committed == 6
 
     @given(
         sizes=st.lists(st.integers(1, 6), min_size=1, max_size=30),
@@ -153,18 +147,18 @@ class TestMirrorProtocol:
         """Admission control through the mirror guarantees the real
         buffer always accepts what arrives."""
         real = Damq(num_vcs=3, capacity=24, reserve=0)
-        mirror = DamqMirror(num_vcs=3, capacity=24, reserve=0)
+        mirror = VcSpaceAccounting(num_vcs=3, capacity=24, reserve=0)
         in_flight: list[int] = []
         for i, size in enumerate(sizes):
             vc = i % 3
             sent = 0
-            while sent < size and mirror.can_send_flit(vc):
-                mirror.debit_flit(vc)
+            while sent < size and mirror.can_admit(vc, 1):
+                mirror.admit(vc, 1)
                 real.admit_flit(vc)  # must never raise
                 in_flight.append(vc)
                 sent += 1
             if sent < size and in_flight:
                 vc0 = in_flight.pop(0)
                 real.space.release(vc0, 1)
-                mirror.credit(vc0, 1)
-        assert mirror.in_flight == real.total_committed
+                mirror.release(vc0, 1)
+        assert mirror.total_committed == real.total_committed

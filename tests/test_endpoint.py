@@ -117,13 +117,13 @@ class TestSleep:
         reads after applying every credit due in the same step."""
         net = single_switch_net()
         ep = net.endpoints[0]
-        ep.mirror.debit_flit(0)
+        ep.mirror.admit(0, 1)
         ep.credit_in.send((0, 1), 0)
         assert ep.next_active_cycle(0) is None
         net.sim.run(20)
-        assert ep.mirror.in_flight == 1  # arrived, not yet applied
+        assert ep.mirror.total_committed == 1  # arrived, not yet applied
         ep.post_message(1, 4, net.sim.cycle)
         net.sim.run(1)
         assert not ep.credit_in._queue
-        assert ep.mirror.in_flight == 1  # the one flit just injected
+        assert ep.mirror.total_committed == 1  # the one flit just injected
         drain_and_check(net)

@@ -117,7 +117,7 @@ class TestWiringInvariants:
                     mirror = sw.out_ports[spec.port].mirror
                     down = net.switches[peer].in_ports[peer_port].damq
                     assert mirror is not None
-                    assert mirror.space.capacity == down.capacity
+                    assert mirror.capacity == down.capacity
 
     def test_endpoint_ports_have_no_mirror(self):
         net = Network(micro_config())

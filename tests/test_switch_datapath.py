@@ -61,7 +61,7 @@ class TestCreditConservation:
             # and, with those, the mirror must be whole
             wire = ep.credit_in._queue
             assert all(due <= net.sim.cycle for due, _ in wire)
-            assert ep.mirror.in_flight == sum(n for _, (_vc, n) in wire)
+            assert ep.mirror.total_committed == sum(n for _, (_vc, n) in wire)
 
     def test_credits_restored_with_stashing(self):
         net = _drained_net(stash=True, reliability=True)
@@ -182,7 +182,7 @@ class TestIdleSwitchSleep:
         sw = net.switches[0]
         op = next(op for op in sw._active_out if op.credit_in is not None)
         for _ in range(2):  # two flits sent and retained...
-            op.mirror.debit_flit(0)
+            op.mirror.admit(0, 1)
             op.out_damq.space.admit(0, 1)
         # ...and their credits on the way back
         op.credit_in.send((0, 1), 0)
@@ -197,11 +197,11 @@ class TestIdleSwitchSleep:
         # a reader outside the switch's step settles what is due...
         sw.settle(5)
         assert op.out_damq.total_committed == 1
-        assert op.mirror.in_flight == (2 if latency > 5 else 1)
+        assert op.mirror.total_committed == (2 if latency > 5 else 1)
         # ...which leaves the wake where it was
         assert sw.next_active_cycle(5) == last
         sw.settle(last)
-        assert op.out_damq.total_committed == op.mirror.in_flight == 0
+        assert op.out_damq.total_committed == op.mirror.total_committed == 0
         assert sw.quiescent and sw.next_active_cycle(last) is None
 
     def test_link_protocol_port_wakes_at_its_first_credit(self):

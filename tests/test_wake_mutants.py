@@ -36,10 +36,6 @@ MUTANTS = {
         "engine/channel.py",
         "            sim.wake(self._wake_idx, deliver)\n",
     ),
-    "egress_inlined_send": (
-        "switch/port.py",
-        "                ws.wake(ch._wake_idx, deliver)\n",
-    ),
     "add_source": (
         "network.py",
         "            self.sim.wake_component(ep, self.sim.cycle)\n",
