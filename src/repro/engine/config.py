@@ -107,11 +107,6 @@ class SwitchParams:
         """Column-channel buffer depth per tile output, in flits."""
         return self.col_buffer_packets * self.max_packet_flits
 
-    @property
-    def internal_bandwidth_ratio(self) -> int:
-        """Column-channel bandwidth over switch radix; R in the paper."""
-        return self.rows
-
 
 @dataclass(frozen=True)
 class StashParams:

@@ -22,6 +22,7 @@ convention, trace schema, and the determinism contract for traces
 merged across ``--jobs N`` worker processes.
 """
 
+from repro.obs.conservation import ConservationError, audit
 from repro.obs.events import (
     EVENT_TYPES,
     SCHEMA_FIELDS,
@@ -42,6 +43,7 @@ from repro.obs.observer import (
 from repro.obs.timeline import Timeline
 
 __all__ = [
+    "ConservationError",
     "EVENT_TYPES",
     "EventTrace",
     "NetworkObserver",
@@ -49,6 +51,7 @@ __all__ = [
     "SCHEMA_FIELDS",
     "SCHEMA_VERSION",
     "Timeline",
+    "audit",
     "harvest",
     "live_mark",
     "merge_entries",

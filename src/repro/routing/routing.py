@@ -60,9 +60,6 @@ class VcLadder:
             f"(sequence {self.sequence}); illegal path"
         )
 
-    def can_take(self, ptr: int, hop_type: str) -> bool:
-        return hop_type in self.sequence[ptr:]
-
 
 class Router:
     """Base router: subclasses implement :meth:`route`.

@@ -153,6 +153,3 @@ class DragonflyTopology(Topology):
     def gateway_switch(self, group: int, target_group: int) -> int:
         """The switch in ``group`` owning the global link to ``target_group``."""
         return self._global_owner[group][target_group]
-
-    def has_global_to(self, switch: int, group: int) -> bool:
-        return self.gateway_switch(self.group_of(switch), group) == switch

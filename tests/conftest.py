@@ -6,8 +6,10 @@ cycles.  ``single_switch_net`` wires N endpoints to one switch, the
 fastest way to exercise the full datapath.
 
 Every ``Simulator`` a test builds in this process runs with the wake
-oracle on (``verify_wake=True``, docs/WAKE_CONTRACT.md), so any test
-that drives a simulation also checks the wake contract along the way.
+oracle on (``verify_wake=True``, docs/WAKE_CONTRACT.md), and every
+``Network`` with the conservation audit (:func:`repro.obs.audit`)
+sampled every :data:`AUDIT_EVERY` cycles and after each run call, so
+any test that drives a simulation also checks both along the way.
 """
 
 from __future__ import annotations
@@ -25,16 +27,25 @@ from repro.engine.config import (
 )
 from repro.engine.simulator import Simulator
 from repro.network import Network
-from repro.obs import harvest
+from repro.obs import audit, harvest
 from repro.topology.single_switch import SingleSwitchTopology
 
 
+#: cycles between two audits of every network a tier-1 test builds
+AUDIT_EVERY = 128
+
+
 @pytest.fixture(autouse=True)
-def _wake_oracle_on(request, monkeypatch):
-    """Force ``verify_wake=True`` on every Simulator the test builds;
-    ``@pytest.mark.shadow_off`` opts out (for the one test that compares
-    a run with the oracle off against the same run with it on)."""
-    if request.node.get_closest_marker("shadow_off") is not None:
+def _oracles_on(request, monkeypatch):
+    """Force ``verify_wake=True`` on every Simulator the test builds, and
+    audit every Network it builds every :data:`AUDIT_EVERY` cycles and
+    when each ``sim.run`` / ``sim.run_until`` call returns: the last
+    state a test drives, checked without keeping every network alive
+    until teardown, which slows the cyclic GC of hypothesis tests that
+    build dozens.  ``@pytest.mark.oracle_off`` opts out of both, for a
+    test that compares a run with an oracle off against one with it on
+    or builds an inconsistent state by hand."""
+    if request.node.get_closest_marker("oracle_off") is not None:
         return
     init = Simulator.__init__
 
@@ -42,7 +53,27 @@ def _wake_oracle_on(request, monkeypatch):
         init(self, *args, **kwargs)
         self.verify_wake = True
 
+    init_net = Network.__init__
+
+    def init_audited(self, *args, **kwargs):
+        init_net(self, *args, **kwargs)
+        sim = self.sim
+        sim.add_sampler(AUDIT_EVERY, lambda _cycle: audit(self))
+        run, run_until = sim.run, sim.run_until
+
+        def run_audited(cycles):
+            run(cycles)
+            audit(self)
+
+        def run_until_audited(predicate, max_cycles):
+            held = run_until(predicate, max_cycles)
+            audit(self)
+            return held
+
+        sim.run, sim.run_until = run_audited, run_until_audited
+
     monkeypatch.setattr(Simulator, "__init__", init_verified)
+    monkeypatch.setattr(Network, "__init__", init_audited)
 
 
 def micro_config(**overrides) -> NetworkConfig:
@@ -176,37 +207,8 @@ def model_counters(net: Network) -> dict[str, int]:
 
 
 def drain_and_check(net: Network, max_cycles: int = 60000) -> None:
-    """Run the network empty and assert full message conservation."""
+    """Run the network empty: every conservation identity holds
+    (:func:`repro.obs.audit`) and nothing is left in flight."""
     assert net.drain(max_cycles), "network failed to drain"
-    c = harvest(net)
-    posted = c["endpoint.nic.messages_posted"]
-    delivered = c["network.messages.delivered"]
-    assert delivered == posted, f"{delivered}/{posted} messages delivered"
-    assert c["network.messages.posted"] == posted
-    assert c["switch.datapath.flits_in_flight"] == 0
-    assert c["switch.stash.committed_flits"] == 0
-    for ep in net.endpoints:
-        queued = sum(p.size for q in ep.send_queues.values() for p in q)
-        assert ep.backlog_flits == queued == 0
-    # VC-space conservation: once each switch settles the credit returns
-    # and retention releases it deferred while idle, every DAMQ and every
-    # switch-side mirror is empty.  An endpoint mirror still counts the
-    # credits waiting on its credit wire, which is deliberately unbound
-    # (docs/WAKE_CONTRACT.md) and drained only at the endpoint's next step.
-    cycle = net.sim.cycle
-    for sw in net.switches:
-        sw.settle(cycle)
-        spaces = [ip.damq.space for ip in sw.in_ports]
-        spaces += [op.out_damq.space for op in sw.out_ports]
-        spaces += [op.mirror for op in sw.out_ports if op.mirror is not None]
-        for space in spaces:
-            where = (sw.switch_id, space.committed)
-            assert space.committed == [0] * space.num_vcs, where
-            assert space._shared_used == 0 == space.total_committed, where
-    for ep in net.endpoints:
-        if ep.mirror is None:
-            continue
-        owed = [0] * ep.mirror.num_vcs
-        for _due, (vc, n) in ep.credit_in._queue:
-            owed[vc] += n
-        assert ep.mirror.committed == owed, (ep.node, owed)
+    left = {name: n for name, n in audit(net).items() if n}
+    assert not left, f"left in flight after drain: {left}"

@@ -23,7 +23,6 @@ class TestSwitchParams:
         assert sw.num_ports == 20
         assert sw.tile_inputs == 5
         assert sw.tile_outputs == 5
-        assert sw.internal_bandwidth_ratio == 4
 
     def test_tiling_identity(self):
         # P = R * I and P = C * O (paper equations 1a/1b)

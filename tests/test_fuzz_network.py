@@ -75,7 +75,3 @@ def test_everything_on_with_faults(seed):
     net.add_uniform_traffic(rate=0.25, stop=400)
     net.sim.run(400)
     drain_and_check(net, max_cycles=500_000)
-    for sw in net.switches:
-        assert all(p.empty for p in sw.stash_dir.partitions)
-    for ep in net.endpoints:
-        assert ep.reorder is not None and ep.reorder.empty

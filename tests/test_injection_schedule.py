@@ -16,6 +16,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.endpoints.endpoint import Endpoint
 from repro.engine.config import SimParams
 from repro.network import Network
+from repro.obs import audit
 from repro.traffic.generators import DRAW_AHEAD_HORIZON, BernoulliSource
 from tests.conftest import micro_config, model_counters
 from tests.percycle import PerCycleBernoulli, run_micro
@@ -98,10 +99,7 @@ def test_backlog_counter_tracks_the_queues_mid_run(micro_net):
     micro_net.add_uniform_traffic(0.6, msg_flits=10)
     for _ in range(40):
         micro_net.sim.run(25)
-        for ep in micro_net.endpoints:
-            assert ep.backlog_flits == sum(
-                p.size for q in ep.send_queues.values() for p in q
-            )
+        audit(micro_net)
     assert any(ep.backlog_flits for ep in micro_net.endpoints)
 
 

@@ -79,9 +79,6 @@ class TestCongestionStashing:
         net.add_uniform_traffic(rate=0.2, stop=1200, nodes=[0])
         net.sim.run(1200)
         drain_and_check(net, max_cycles=150_000)
-        for sw in net.switches:
-            for part in sw.stash_dir.partitions:
-                assert part.empty
 
     def test_diverted_packets_counted(self):
         net = single_switch_net(stash=True, ecn=True,

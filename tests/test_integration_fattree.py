@@ -70,9 +70,6 @@ class TestFatTreeStashing:
         net.add_uniform_traffic(rate=0.25, stop=1000)
         net.sim.run(1000)
         drain_and_check(net, max_cycles=100_000)
-        for sw in net.switches:
-            if sw.stash_dir:
-                assert all(p.empty for p in sw.stash_dir.partitions)
 
     def test_fault_recovery_on_fattree(self):
         net = fattree_net(stash=True, reliability=True, error_rate=0.1)

@@ -4,6 +4,7 @@ import pytest
 
 from repro.engine.config import ReliabilityParams, StashParams
 from repro.network import Network
+from repro.obs import harvest
 from repro.switch.flit import PacketKind
 from tests.conftest import drain_and_check, micro_config, single_switch_net
 
@@ -42,24 +43,17 @@ class TestCopyLifecycle:
         net.add_uniform_traffic(rate=0.3, stop=1000)
         net.sim.run(1000)
         drain_and_check(net)
-        for sw in net.switches:
-            assert sw.stash_dir is not None
-            for part in sw.stash_dir.partitions:
-                assert part.empty, (sw.switch_id, part.port)
-            assert all(t.outstanding == 0 for t in sw.trackers.values())
 
     def test_stores_equal_deletes_when_error_free(self):
         net = reliability_net()
         net.add_uniform_traffic(rate=0.3, stop=1000)
         net.sim.run(1000)
         drain_and_check(net)
-        stored = deleted = 0
-        for sw in net.switches:
-            for part in sw.stash_dir.partitions:
-                stored += part.stored_total
-                deleted += part.deleted_total
-        assert stored > 0
-        assert stored == deleted
+        # stores == deletes + retrieves is audited; error-free, no copy
+        # is ever retrieved
+        c = harvest(net)
+        assert c["switch.stash.stores"] > 0
+        assert c["switch.stash.retrieves"] == 0
 
     def test_copies_only_at_first_hop_end_ports(self):
         net = reliability_net()
@@ -147,8 +141,6 @@ class TestOnSingleSwitch:
         for src in range(6):
             net.endpoints[src].post_message((src + 1) % 6, 12, 0)
         drain_and_check(net)
-        sw = net.switches[0]
-        assert all(p.empty for p in sw.stash_dir.partitions)
 
     def test_single_switch_fault_injection(self):
         net = single_switch_net(

@@ -107,11 +107,9 @@ class TestIdleFastPath:
         net.sim.run(5)
         assert not sw.quiescent
         drain_and_check(net)
-        assert sw.quiescent
 
     def test_inflight_counter_balances(self):
         net = single_switch_net()
         net.add_uniform_traffic(rate=0.5, stop=500)
         net.sim.run(500)
-        net.drain(30000)
-        assert net.switches[0].inflight == 0
+        drain_and_check(net)

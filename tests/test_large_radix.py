@@ -76,10 +76,9 @@ def test_geometry_with_stashing(ports, rows, cols, nodes):
     assert stored == nodes * 2  # two packets per 8-flit message
 
 
-def test_internal_bandwidth_ratio_matches_rows():
+def test_column_channels_are_rows_times_radix():
     """The paper's observation: column bandwidth is R x switch radix."""
     for ports, rows, cols in [(20, 4, 4), (64, 8, 8), (36, 3, 4)]:
         sw = _switch(ports, rows, cols)
-        assert sw.internal_bandwidth_ratio == rows
         # total column channels = R*C*O = R*P (substituting P = C*O)
         assert rows * cols * sw.tile_outputs == rows * ports

@@ -185,6 +185,7 @@ class TestZeroOverheadContract:
         take_captures()  # leave no live observers behind
         assert on == off
 
+    @pytest.mark.oracle_off  # times the cycle loop: no audit, no shadow check
     def test_counter_overhead_is_bounded(self):
         """Loose wall-clock guard: metrics-only mode may not slow the
         cycle loop measurably (counters are harvested at capture time,

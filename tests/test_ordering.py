@@ -148,5 +148,3 @@ class TestOrderedNetwork:
         net.add_uniform_traffic(rate=0.25, stop=800)
         net.sim.run(800)
         drain_and_check(net, max_cycles=250_000)
-        for ep in net.endpoints:
-            assert ep.reorder is not None and ep.reorder.empty

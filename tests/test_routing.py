@@ -89,12 +89,6 @@ class TestVcLadder:
         with pytest.raises(RuntimeError):
             ladder.next_vc(5, "G")  # no G at or after position 5
 
-    def test_can_take(self):
-        ladder = VcLadder("LLGLGL")
-        assert ladder.can_take(0, "G")
-        assert not ladder.can_take(5, "G")
-        assert ladder.can_take(5, "L")
-
     def test_invalid_sequence_rejected(self):
         with pytest.raises(ValueError):
             VcLadder("LXG")

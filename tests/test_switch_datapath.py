@@ -130,7 +130,7 @@ class TestBroadcastDuplication:
 
 
 class TestSpeedupTokens:
-    def test_internal_bandwidth_ratio(self):
+    def test_speedup_runs_thirteen_passes_per_ten_cycles(self):
         """With speedup 1.3, internal stages run 13 passes per 10
         cycles; the schedule is a stateless function of the absolute
         cycle number so skipped idle cycles cannot shift it."""

@@ -69,7 +69,7 @@ class TestDragonflyCanonical:
                 else:
                     assert spec.link_class == "local"
                     _, gw, _ = spec.peer
-                    assert t.has_global_to(gw, target)
+                    assert t.gateway_switch(t.group_of(gw), target) == gw
 
     @given(st.integers(1, 3), st.integers(1, 5), st.integers(1, 3), st.data())
     @settings(max_examples=40, deadline=None)

@@ -119,7 +119,7 @@ def test_source_without_a_schedule_is_polled_every_cycle(micro_net):
     assert polled == list(range(500, 550))
 
 
-@pytest.mark.shadow_off
+@pytest.mark.oracle_off
 @pytest.mark.parametrize("trial", range(4))
 def test_fuzz_verify_wake_clean_and_invisible(trial):
     """Shadow mode neither raises nor changes a single sample on the
