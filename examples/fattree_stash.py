@@ -17,6 +17,7 @@ from repro import (
     StashParams,
     tiny_preset,
 )
+from repro.obs import harvest
 from repro.routing import FatTreeRouter
 
 
@@ -45,7 +46,7 @@ def main() -> None:
     drained = net.drain(120_000)
 
     posted = sum(ep.messages_posted for ep in net.endpoints)
-    delivered = sum(1 for m in net.messages.values() if m.delivered)
+    delivered = harvest(net)["network.messages.delivered"]
     retrans = sum(getattr(sw, "retransmits_issued", 0) for sw in net.switches)
     print(f"fat-tree: {topo.num_nodes} nodes, {topo.num_leaves} leaves, "
           f"{topo.num_spines} spines")

@@ -21,6 +21,7 @@ from repro import (
     StashParams,
     tiny_preset,
 )
+from repro.obs import harvest
 
 
 def run(buffer_flits: int) -> None:
@@ -50,7 +51,7 @@ def run(buffer_flits: int) -> None:
     assert net.drain(400_000), "network failed to drain"
 
     posted = sum(ep.messages_posted for ep in net.endpoints)
-    done = sum(1 for m in net.messages.values() if m.delivered)
+    done = harvest(net)["network.messages.delivered"]
     drops = sum(ep.packets_reorder_dropped for ep in net.endpoints)
     retrans = sum(sw.retransmits_issued for sw in net.switches)
     held = sum(ep.reorder.held_total for ep in net.endpoints)

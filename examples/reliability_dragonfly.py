@@ -17,6 +17,7 @@ Run:  python examples/reliability_dragonfly.py
 """
 
 from repro import Network, ReliabilityParams, StashParams, tiny_preset
+from repro.obs import harvest
 
 
 def run(label: str, error_rate: float, stashing: bool) -> None:
@@ -32,7 +33,7 @@ def run(label: str, error_rate: float, stashing: bool) -> None:
     drained = net.drain(120_000)
 
     posted = sum(ep.messages_posted for ep in net.endpoints)
-    delivered = sum(1 for m in net.messages.values() if m.delivered)
+    delivered = harvest(net)["network.messages.delivered"]
     corrupted = sum(ep.packets_corrupted for ep in net.endpoints)
     retrans = sum(getattr(sw, "retransmits_issued", 0) for sw in net.switches)
     copies = sum(

@@ -47,14 +47,6 @@ class EndToEndTracker:
         self.deletes_sent = 0
         self.retransmits_sent = 0
 
-    @property
-    def outstanding(self) -> int:
-        return len(self._records)
-
-    @property
-    def outstanding_flits(self) -> int:
-        return sum(r.size_flits for r in self._records.values())
-
     def track(self, pid: int, size_flits: int) -> None:
         """Register a packet whose stash copy was dispatched."""
         if pid in self._records:

@@ -214,10 +214,6 @@ class StashPartition:
     def fifo_depth(self) -> int:
         return len(self._fifo)
 
-    @property
-    def empty(self) -> bool:
-        return not self._entries and not self._fifo and self._committed == 0
-
 
 class StashDirectory:
     """Switch-level view of all port partitions.

@@ -87,7 +87,7 @@ class Endpoint:
         # event trace when obs tracing is enabled, else None (zero cost)
         self.obs: EventTrace | None = None
 
-        self.send_queues: dict[int, deque[Packet]] = {}
+        self.send_queues: dict[int, deque[Packet]] = {}  # non-empty only
         self._rr_dsts: deque[int] = deque()  # round-robin order of active queues
         self._rr_members: set[int] = set()
         self.ack_queue: deque[Packet] = deque()
@@ -170,7 +170,7 @@ class Endpoint:
         msg.packets_total = seq
         self.backlog_flits += size_flits
         self.flits_generated += size_flits
-        net.on_generated(size_flits)
+        net.on_generated(size_flits, seq, cycle)
         # external posters (trace replay, tests) may target a sleeping
         # endpoint; self-posts during our own step no-op in the wake list
         net.sim.wake_component(self, cycle)
@@ -189,11 +189,7 @@ class Endpoint:
 
     @property
     def idle(self) -> bool:
-        return (
-            not self._streams
-            and not self.ack_queue
-            and not any(self.send_queues.values())
-        )
+        return not (self._streams or self.ack_queue or self.send_queues)
 
     # ------------------------------------------------------------------
 
@@ -308,10 +304,9 @@ class Endpoint:
             ready.eject_cycle = cycle
             self.packets_delivered += 1
             net.on_delivered(ready, cycle)
-            if self.reorder is not None:
-                msg = net.messages.get(ready.msg_id)
-                if msg is not None and msg.delivered:
-                    self.reorder.finish_message(ready.msg_id)
+            # a completed message has left the table
+            if self.reorder is not None and ready.msg_id not in net.messages:
+                self.reorder.finish_message(ready.msg_id)
 
     # -- inject side -------------------------------------------------------
 
@@ -376,6 +371,8 @@ class Endpoint:
                 self._rr_dsts.rotate(-1)
                 continue
             queue.popleft()
+            if not queue:  # post_message re-creates it
+                del self.send_queues[dst]
             self.backlog_flits -= pkt.size
             self._rr_dsts.rotate(-1)
             self.ecn.on_inject(dst, pkt.size)

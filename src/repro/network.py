@@ -81,8 +81,10 @@ class Network:
             )
 
         self._next_pid = 0
-        self._next_msg = 0
+        # undelivered messages only; the two counters are running totals
         self.messages: dict[int, Message] = {}
+        self.messages_posted = 0
+        self.messages_delivered = 0
 
         self.sim = Simulator(
             kernel=config.sim.kernel,
@@ -261,13 +263,18 @@ class Network:
     def alloc_message(
         self, src: int, dst: int, size: int, cycle: int, tag: int
     ) -> Message:
-        self._next_msg += 1
-        msg = Message(self._next_msg, src, dst, size, cycle, tag)
-        self.messages[msg.msg_id] = msg
+        self.messages_posted += 1
+        msg = Message(self.messages_posted, src, dst, size, cycle, tag)
+        if src != dst:
+            self.messages[msg.msg_id] = msg
+        else:  # a self-send is delivered as it is posted
+            self.messages_delivered += 1
         return msg
 
-    def on_generated(self, flits: int) -> None:
+    def on_generated(self, flits: int, packets: int, cycle: int) -> None:
         self.offered.record(flits)
+        if self._meas_start is not None and cycle >= self._meas_start:
+            self._meas_born += packets
 
     def on_delivered(self, pkt: Packet, cycle: int) -> None:
         """A data packet's tail ejected uncorrupted at its destination."""
@@ -279,15 +286,20 @@ class Network:
         msg = self.messages.get(pkt.msg_id)
         if msg is not None:
             msg.packets_delivered += 1
-            if msg.delivered and msg.complete_cycle < 0:
+            if msg.delivered:
                 msg.complete_cycle = cycle
                 if msg.on_complete is not None:
                     msg.on_complete(msg, cycle)
+            else:
+                msg = None
         for hook in self.on_packet_delivered_hooks:
             hook(pkt, cycle)
         if self._trace is not None:
             self._trace.emit(cycle, "packet.deliver", -1, pkt.dst, -1,
                              pkt.pid, cycle - pkt.birth_cycle)
+        if msg is not None:  # complete: the hooks saw it in the table last
+            del self.messages[msg.msg_id]
+            self.messages_delivered += 1
 
     def _record_latency(self, pkt: Packet, cycle: int) -> None:
         self._meas_delivered += 1
@@ -352,6 +364,9 @@ class Network:
         cycle = self.sim.cycle
         self._meas_start = cycle
         self._meas_end = None
+        # packets of messages posted ahead with a cycle in the window
+        self._meas_born = sum(m.packets_total for m in self.messages.values()
+                              if m.create_cycle >= cycle)
         self.accepted.open_window(cycle)
         self.offered.open_window(cycle)
 
@@ -370,7 +385,7 @@ class Network:
         self.sim.run(sim_cfg.warmup_cycles)
         self.open_measurement()
         self.sim.run(sim_cfg.measure_cycles)
-        born = self._meas_born_estimate()
+        born = self._meas_born
         self.close_measurement()
         if drain:
             self.sim.run_until(
@@ -378,16 +393,6 @@ class Network:
                 sim_cfg.drain_cycles,
             )
         return self.result()
-
-    def _meas_born_estimate(self) -> int:
-        # exact count of data packets born in the window is tracked via
-        # messages created in the window
-        start = self._meas_start or 0
-        return sum(
-            m.packets_total
-            for m in self.messages.values()
-            if m.create_cycle >= start and m.src != m.dst
-        )
 
     def quiescent(self) -> bool:
         return all(ep.idle for ep in self.endpoints) and all(

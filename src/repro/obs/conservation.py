@@ -55,7 +55,9 @@ def audit(net: "Network") -> dict[str, int]:
     A buffer commits what it queues or retains; ``inflight`` counts what a
     switch buffers or has yet to retrieve; stash counters match the packets
     held; a stored copy's location has one holder (tracker record,
-    side-band message or paced retransmission)."""
+    side-band message or paced retransmission).  Memory follows what is in
+    flight: the message table holds undelivered messages only, and no
+    endpoint keeps an empty send queue."""
     for name, mirror, flit, credit, tx, ip in _channels(net):
         n = mirror.num_vcs
         if tx is None:
@@ -107,17 +109,22 @@ def audit(net: "Network") -> dict[str, int]:
             r.has_location for r in records), sideband_and_paced_messages=messages)
         outstanding += len(records)
         in_flight += messages
-    _balance("network", "messages", len(net.messages),
-             posted=sum(ep.messages_posted for ep in net.endpoints))
+    _balance("network", "messages posted", net.messages_posted,
+             by_endpoints=sum(ep.messages_posted for ep in net.endpoints))
+    _balance("network", "messages posted", net.messages_posted,
+             in_table=len(net.messages), delivered=net.messages_delivered)
+    if any(m.delivered for m in net.messages.values()):
+        raise ConservationError("network: a delivered message is still in the table")
     for ep in net.endpoints:
+        if not all(ep.send_queues.values()):
+            raise ConservationError(f"endpoint {ep.node}: holds an empty send queue")
         _balance(f"endpoint {ep.node}", "backlog", ep.backlog_flits,
                  send_queues=sum(p.size for q in ep.send_queues.values() for p in q))
     return {  # name-sorted
         "endpoint.nic.backlog_flits": sum(ep.backlog_flits for ep in net.endpoints),
         "endpoint.ordering.reorder_flits": sum(
             ep.reorder.used_flits for ep in net.endpoints if ep.reorder is not None),
-        "network.messages.undelivered": sum(
-            not m.delivered for m in net.messages.values()),
+        "network.messages.undelivered": len(net.messages),
         "switch.datapath.flits_in_flight": inflight,
         "switch.reliability.outstanding_packets": outstanding,
         "switch.sideband.messages_in_flight": in_flight,

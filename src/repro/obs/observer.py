@@ -133,10 +133,8 @@ def harvest(net: "Network") -> dict[str, int]:
         "engine.sim.wakes": sim.wakes,
         "engine.sim.stale_pops": sim.stale_pops,
         "engine.sim.skips": sim.skips,
-        "network.messages.posted": len(net.messages),
-        "network.messages.delivered": sum(
-            1 for m in net.messages.values() if m.delivered
-        ),
+        "network.messages.posted": net.messages_posted,
+        "network.messages.delivered": net.messages_delivered,
         "endpoint.nic.flits_generated": sum(ep.flits_generated for ep in eps),
         "endpoint.nic.flits_injected": sum(ep.flits_injected for ep in eps),
         "endpoint.nic.flits_ejected": sum(ep.flits_ejected for ep in eps),

@@ -108,7 +108,3 @@ class ReorderBuffer:
                 f"message {msg_id} finished with {len(leftovers)} packets "
                 "still held — ordering accounting bug"
             )
-
-    @property
-    def empty(self) -> bool:
-        return self._used == 0 and not self._pending

@@ -25,8 +25,6 @@ available before head-of-line blocking — large.
 
 from __future__ import annotations
 
-from collections import deque
-
 from repro.switch.flit import Flit
 
 __all__ = ["Damq", "VcSpaceAccounting"]
@@ -157,7 +155,7 @@ class Damq:
         self, num_vcs: int, capacity: int, reserve: "int | list[int]"
     ) -> None:
         self.space = VcSpaceAccounting(num_vcs, capacity, reserve)
-        self.queues: list[deque[Flit]] = [deque() for _ in range(num_vcs)]
+        self.queues: list[list[Flit]] = [[] for _ in range(num_vcs)]
         self.flit_count = 0  # fast emptiness check for the cycle loop
         # bit ``v`` set iff ``queues[v]`` is non-empty: the datapath scan
         # loops iterate set bits instead of every VC FIFO
@@ -184,7 +182,7 @@ class Damq:
         acknowledgment round trip completes (Section II); the caller
         releases via ``space.release`` when the retention expires."""
         q = self.queues[vc]
-        flit = q.popleft()
+        flit = q.pop(0)
         if not q:
             self.occ_mask &= ~(1 << vc)
         self.flit_count -= 1

@@ -353,7 +353,7 @@ class InputPort:
         # inline queue pop + space.release(vc, 1)
         damq = self.damq
         q = damq.queues[vc]
-        flit = q.popleft()
+        flit = q.pop(0)
         if not q:
             damq.occ_mask &= ~(1 << vc)
         damq.flit_count -= 1
@@ -551,8 +551,8 @@ class OutputPort:
         rows = cfg.rows
         self.col_flits = 0  # non-S flits buffered in the column buffers
         self.col_flits_s = 0  # S flits awaiting the partition write port
-        self.col_buffers: list[list[deque[Flit]]] = [
-            [deque() for _ in range(sw.total_vcs)] for _ in range(rows)
+        self.col_buffers: list[list[list[Flit]]] = [
+            [[] for _ in range(sw.total_vcs)] for _ in range(rows)
         ]
         # per-row VC occupancy bitmasks over col_buffers (bit vc set iff
         # col_buffers[row][vc] non-empty); the mux scans set bits only
@@ -562,7 +562,7 @@ class OutputPort:
         self._col = idx // cfg.tile_outputs
         self._o_local = idx % cfg.tile_outputs
         self._rows = rows
-        self.col_jobs: list[deque[StashJob]] = [deque() for _ in range(rows)]
+        self.col_jobs: list[list[StashJob]] = [[] for _ in range(rows)]
         # active stream per (row, vc): destination VC in the output buffer
         self.col_streams: list[list[int | None]] = [
             [None] * sw.total_vcs for _ in range(rows)
@@ -714,7 +714,7 @@ class OutputPort:
         row, vc = divmod(key, total_vcs)
         dest = dests[key]
         q = col_buffers[row][vc]
-        flit = q.popleft()
+        flit = q.pop(0)
         if not q:
             col_occ[row] &= ~(1 << vc)
         self.col_flits -= 1
@@ -768,11 +768,11 @@ class OutputPort:
             row = self.sdrain_arbiter.pick(rows)
             self.sdrain_stream = row
         q = self.col_buffers[row][S_VC]
-        flit = q.popleft()
+        flit = q.pop(0)
         if not q:
             self.col_occ[row] &= ~(1 << S_VC)
         self.col_flits_s -= 1
-        job = self.col_jobs[row].popleft()
+        job = self.col_jobs[row].pop(0)
         tile = sw.tiles[row][self._col]
         tile.col_credits[self._o_local][S_VC] += 1
         tile.blocked = False  # S column-buffer credit returned

@@ -13,7 +13,6 @@ different VCs interleave freely cycle by cycle.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import TYPE_CHECKING
 
 from repro.core.stash import StashJob
@@ -61,14 +60,14 @@ class Tile:
         self.num_vcs = sw.total_vcs
         # row buffers: per (input slot, vc); capacity is enforced by the
         # feeding input port's credit counters
-        self.queues: list[list[deque[Flit]]] = [
-            [deque() for _ in range(self.num_vcs)] for _ in range(self.num_slots)
+        self.queues: list[list[list[Flit]]] = [
+            [[] for _ in range(self.num_vcs)] for _ in range(self.num_slots)
         ]
         # per-slot VC occupancy bitmask (bit vc set iff queues[slot][vc]
         # non-empty); the crossbar request scan iterates set bits only
         self.occ = [0] * self.num_slots
         # S-path transit metadata parallel to the S queues (one per slot)
-        self.jobs: list[deque[StashJob]] = [deque() for _ in range(self.num_slots)]
+        self.jobs: list[list[StashJob]] = [[] for _ in range(self.num_slots)]
         # active packet stream per (slot, vc): target tile output
         self.streams: list[list[int | None]] = [
             [None] * self.num_vcs for _ in range(self.num_slots)
@@ -196,10 +195,10 @@ class Tile:
             accepted = allocator.allocate(requests)
         for slot, vc, out in accepted:
             q = all_queues[slot][vc]
-            flit = q.popleft()
+            flit = q.pop(0)
             if not q:
                 occ[slot] &= ~(1 << vc)
-            job = jobs[slot].popleft() if vc == S_VC else None
+            job = jobs[slot].pop(0) if vc == S_VC else None
             op = out_ports[col_base + out]
             if (slot, vc) in head_targets:
                 locks[out].acquire(vc, slot)

@@ -212,3 +212,19 @@ def drain_and_check(net: Network, max_cycles: int = 60000) -> None:
     assert net.drain(max_cycles), "network failed to drain"
     left = {name: n for name, n in audit(net).items() if n}
     assert not left, f"left in flight after drain: {left}"
+
+
+def completed_messages(net: Network) -> list:
+    """Every message ``net`` completes from now on, in completion order.
+
+    A delivery hook collects them: a completed message is still in
+    ``net.messages`` while the hooks run and leaves it right after."""
+    done = []
+
+    def collect(pkt, _cycle):
+        msg = net.messages.get(pkt.msg_id)
+        if msg is not None and msg.delivered:
+            done.append(msg)
+
+    net.on_packet_delivered_hooks.append(collect)
+    return done

@@ -19,10 +19,15 @@ row                        audit       drain-time check alone
 dropped_credit_return      cycle 128   cycle 1610, drain end (mirror)
 lost_location_message      cycle 128   cycle 1610, drain end (stash)
 delete_keeps_the_entry     cycle 128   survives
+kept_delivered_message     cycle 128   survives
+kept_empty_send_queue      cycle 0     survives
 =========================  ==========  ==================================
 
 A delete that releases space but keeps the entry leaves a packet no one
-will ever ask for; it touches no credit and no stash space.  ROADMAP's
+will ever ask for; it touches no credit and no stash space.  The two
+``kept_`` rows fire on every message and every emptied send queue: they
+leak memory, not flits, so only the audit's bounds on what the network
+holds see them.  ROADMAP's
 fourth row, skipping ``settle`` in the ``port_occupancy`` probe, breaks
 no conservation identity (a deferred credit is still on its wire), so a
 pure read cannot see it;
@@ -79,6 +84,16 @@ MUTANTS = {
         "        packet = self._entries.pop(location) if self.deleted_total "
         "or self.port or self._entries[location].src else "
         "self._entries[location]\n",
+    ),
+    "kept_delivered_message": (
+        "network.py",
+        "            del self.messages[msg.msg_id]\n",
+        "            pass\n",
+    ),
+    "kept_empty_send_queue": (
+        "endpoints/endpoint.py",
+        "                del self.send_queues[dst]\n",
+        "                pass\n",
     ),
 }
 

@@ -333,7 +333,9 @@ class TestPacedRetransmission:
 
         from repro.engine.config import ReliabilityParams, StashParams
         from repro.network import Network
-        from tests.conftest import drain_and_check, micro_config
+        from tests.conftest import (
+            completed_messages, drain_and_check, micro_config,
+        )
 
         def recovery_cycles(pace):
             cfg = micro_config(
@@ -344,11 +346,12 @@ class TestPacedRetransmission:
             )
             net = Network(cfg)
             net.error_rate = 1.0  # corrupt exactly the first delivery
+            done = completed_messages(net)
             net.endpoints[0].post_message(3, 4, 0)
             net.sim.run(30)
             net.error_rate = 0.0
             drain_and_check(net, max_cycles=100_000)
-            msg = next(iter(net.messages.values()))
+            (msg,) = done
             return msg.complete_cycle
 
         fast = recovery_cycles(pace=0)

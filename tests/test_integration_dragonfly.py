@@ -5,7 +5,7 @@ import pytest
 
 from repro.engine.config import StashParams
 from repro.network import Network
-from tests.conftest import drain_and_check, micro_config
+from tests.conftest import completed_messages, drain_and_check, micro_config
 
 
 class TestMicroDragonfly:
@@ -44,10 +44,11 @@ class TestMicroDragonfly:
     def test_determinism_same_seed(self):
         def run():
             net = Network(micro_config())
+            done = completed_messages(net)
             net.add_uniform_traffic(rate=0.4, stop=1000)
             net.sim.run(1000)
             net.drain(40000)
-            return sorted(m.complete_cycle for m in net.messages.values())
+            return sorted(m.complete_cycle for m in done)
 
         assert run() == run()
 
@@ -58,10 +59,11 @@ class TestMicroDragonfly:
             cfg = micro_config()
             cfg = cfg.with_(sim=replace(cfg.sim, seed=seed))
             net = Network(cfg)
+            done = completed_messages(net)
             net.add_uniform_traffic(rate=0.4, stop=1000)
             net.sim.run(1000)
             net.drain(40000)
-            return sorted(m.complete_cycle for m in net.messages.values())
+            return sorted(m.complete_cycle for m in done)
 
         assert run(1) != run(2)
 

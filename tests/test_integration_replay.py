@@ -5,7 +5,7 @@ import pytest
 from repro.network import Network
 from repro.trace.mpi import MpiProgram, all_to_all, allreduce
 from repro.trace.replay import MpiReplay, run_trace
-from tests.conftest import micro_config, single_switch_net
+from tests.conftest import completed_messages, micro_config, single_switch_net
 
 
 class TestBasicReplay:
@@ -22,8 +22,9 @@ class TestBasicReplay:
         prog = MpiProgram("t", 2)
         prog.add_send(0, 1, 8, tag=0)  # A -> B
         prog.add_send(1, 0, 8, tag=1)  # B -> A, appended after B's recv
+        done = completed_messages(net)
         run_trace(net, prog)
-        msgs = sorted(net.messages.values(), key=lambda m: m.msg_id)
+        msgs = sorted(done, key=lambda m: m.msg_id)
         a_to_b, b_to_a = msgs
         assert b_to_a.create_cycle >= a_to_b.complete_cycle
 
@@ -37,10 +38,9 @@ class TestBasicReplay:
         prog = MpiProgram("ring", n)
         for i in range(n):
             prog.add_send(i, (i + 1) % n, 4, tag=i)
+        done = completed_messages(net)
         run_trace(net, prog)
-        completes = {
-            m.tag: m.complete_cycle for m in net.messages.values()
-        }
+        completes = {m.tag: m.complete_cycle for m in done}
         assert completes[0] < completes[1] < completes[2]
 
     def test_self_messages_complete_instantly(self):
@@ -99,8 +99,9 @@ class TestRankMapping:
         prog = MpiProgram("t", 2)
         prog.add_send(0, 1, 4)
         # map ranks to the two most distant nodes
+        done = completed_messages(net)
         run_trace(net, prog, rank_to_node=[0, net.topology.num_nodes - 1])
-        msg = next(iter(net.messages.values()))
+        (msg,) = done
         assert msg.src == 0
         assert msg.dst == net.topology.num_nodes - 1
 

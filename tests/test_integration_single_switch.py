@@ -3,7 +3,7 @@ tile crossbar -> column channel -> output mux -> output buffer -> link."""
 
 import pytest
 
-from tests.conftest import drain_and_check, single_switch_net
+from tests.conftest import completed_messages, drain_and_check, single_switch_net
 
 
 class TestDelivery:
@@ -66,14 +66,17 @@ class TestBandwidth:
     def test_oversubscribed_output_shares_fairly(self):
         """Five sources to one destination: each gets ~1/5 of the link."""
         net = single_switch_net()
-        for src in range(1, 6):
-            net.endpoints[src].post_message(0, 400, 0)
-        net.sim.run(1200)
         delivered = {
             src: 0 for src in range(1, 6)
         }
-        for msg in net.messages.values():
-            delivered[msg.src] = msg.packets_delivered
+
+        def count(pkt, _cycle):  # one message per source
+            delivered[pkt.src] += 1
+
+        net.on_packet_delivered_hooks.append(count)
+        for src in range(1, 6):
+            net.endpoints[src].post_message(0, 400, 0)
+        net.sim.run(1200)
         total = sum(delivered.values())
         assert total > 0
         share = {s: d / total for s, d in delivered.items()}
@@ -84,12 +87,13 @@ class TestBandwidth:
 class TestDeterminism:
     def _run(self, seed):
         net = single_switch_net()
+        done = completed_messages(net)
         net.add_uniform_traffic(rate=0.4, stop=800)
         net.sim.run(800)
         net.drain(30000)
         return (
             sum(ep.flits_ejected for ep in net.endpoints),
-            sorted(m.complete_cycle for m in net.messages.values()),
+            sorted(m.complete_cycle for m in done),
         )
 
     def test_same_config_bit_identical(self):

@@ -1,10 +1,12 @@
 """Network-level plumbing: ids, registries, stats windows, probes."""
 
+import gc
 import math
+from collections import deque
 
 import pytest
 
-from repro.engine.config import StashParams
+from repro.engine.config import StashParams, small_preset
 from repro.network import Network
 from tests.conftest import drain_and_check, micro_config, single_switch_net
 
@@ -21,6 +23,38 @@ class TestAllocation:
         msg = net.alloc_message(0, 1, 8, cycle=5, tag=3)
         assert net.messages[msg.msg_id] is msg
         assert msg.tag == 3
+
+
+class TestMemoryFollowsTraffic:
+    def test_switch_fifos_are_lists(self):
+        """An empty list is 56 B, an empty deque 760 B: the per-(slot, VC),
+        per-(row, VC) and per-DAMQ-VC FIFOs are lists, so an idle network
+        holds a deque only per port or channel (16,452 on ``small`` when
+        these five families were deques)."""
+        gc.collect()
+        before = sum(type(o) is deque for o in gc.get_objects())
+        net = Network(small_preset())
+        built = sum(type(o) is deque for o in gc.get_objects()) - before
+        assert built <= 1700
+        for sw in net.switches:
+            fifos = [q for row in sw.tiles for tile in row
+                     for slot in tile.queues for q in slot]
+            fifos += [q for row in sw.tiles for tile in row for q in tile.jobs]
+            fifos += [q for ip in sw.in_ports for q in ip.damq.queues]
+            for op in sw.out_ports:
+                fifos += [q for row in op.col_buffers for q in row]
+                fifos += op.col_jobs + op.out_damq.queues
+            assert {type(q) for q in fifos} == {list}
+
+    def test_delivered_messages_and_drained_queues_are_released(self):
+        net = single_switch_net()
+        ep = net.endpoints[0]
+        ep.post_message(1, 40, 0)
+        ep.post_message(0, 8, 0)  # a self-send never enters the table
+        assert list(net.messages) == [1] and list(ep.send_queues) == [1]
+        drain_and_check(net)
+        assert (net.messages, ep.send_queues) == ({}, {})
+        assert (net.messages_posted, net.messages_delivered) == (2, 2)
 
 
 class TestStatsWindows:

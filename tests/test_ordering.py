@@ -24,7 +24,7 @@ class TestReorderBufferUnit:
         assert accepted and [p.seq for p in out] == [0]
         accepted, out = rb.accept(_pkt(1))
         assert accepted and [p.seq for p in out] == [1]
-        assert rb.empty
+        assert rb.used_flits == 0
 
     def test_early_packet_held_then_released(self):
         rb = ReorderBuffer(16)
@@ -33,7 +33,7 @@ class TestReorderBufferUnit:
         assert rb.used_flits == 4
         accepted, out = rb.accept(_pkt(0))
         assert [p.seq for p in out] == [0, 1]
-        assert rb.empty
+        assert rb.used_flits == 0
 
     def test_deep_reordering_chain(self):
         rb = ReorderBuffer(64)
@@ -81,7 +81,9 @@ class TestReorderBufferUnit:
         rb = ReorderBuffer(16)
         rb.accept(_pkt(0, msg_id=7))
         rb.finish_message(7)
-        assert rb.empty
+        # the next seq 0 is in sequence again: the message was forgotten
+        again = _pkt(0, msg_id=7)
+        assert rb.accept(again) == (True, [again])
 
     @given(
         order=st.permutations(list(range(8))),

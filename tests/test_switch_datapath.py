@@ -103,7 +103,7 @@ class TestBroadcastDuplication:
         clones (Section III-A: no extra bandwidth, no extra storage for
         a second packet object)."""
         net = single_switch_net(stash=True, reliability=True)
-        net.endpoints[0].post_message(1, 4, 0)
+        msg = net.endpoints[0].post_message(1, 4, 0)
         sw = net.switches[0]
         stored = []
         for _ in range(60):  # catch the copy before the ACK deletes it
@@ -116,8 +116,7 @@ class TestBroadcastDuplication:
             if stored:
                 break
         assert len(stored) == 1
-        delivered_msgs = list(net.messages.values())
-        assert stored[0].msg_id == delivered_msgs[0].msg_id
+        assert stored[0].msg_id == msg.msg_id
         drain_and_check(net)
 
     def test_row_bus_one_winner_per_pass(self):
