@@ -25,7 +25,7 @@ from repro.obs.events import EventTrace
 from repro.protocol.ecn import EcnWindows
 from repro.protocol.ordering import ReorderBuffer
 from repro.switch.damq import VcSpaceAccounting
-from repro.switch.flit import Message, Packet, PacketKind
+from repro.switch.flit import Flit, Message, Packet, PacketKind
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.network import Network
@@ -301,7 +301,6 @@ class Endpoint:
             self.packets_reorder_dropped += 1
             return
         for ready in deliverable:
-            ready.eject_cycle = cycle
             self.packets_delivered += 1
             net.on_delivered(ready, cycle)
             # a completed message has left the table
@@ -335,7 +334,7 @@ class Endpoint:
         stream = streams[vc]
         pkt, idx = stream
         mirror.admit(vc, 1)
-        flit = pkt.flits[idx]
+        flit = Flit(pkt, idx)
         self.flit_out.send((vc, flit), cycle)
         self.flits_injected += 1
         if flit.head and self.obs is not None:

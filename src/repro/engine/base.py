@@ -19,6 +19,7 @@ Select by name with :func:`get_engine`; the experiment runner threads
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Protocol
 
@@ -176,6 +177,10 @@ class CycleEngine:
             result = net.run_standard(drain=spec.drain)
         for read in readers:
             extras += read()
+        # the finished network is one cyclic graph (components <-> net <->
+        # sim): free it here, before the next point builds its own
+        del net, readers
+        gc.collect()
         if not extras:
             return result
         return replace(result, extras=result.extras + extras)

@@ -2,10 +2,12 @@
 
 The simulator models the network at flit granularity (one flit = one
 channel-clock transfer, 10 bytes in the paper's configuration).  A
-:class:`Packet` owns its flits; flit objects are immutable and shared
-between a packet and its stash copy, because the multi-drop row bus
-duplicates a flit by latching the *same* wire value into two buffers
-(paper Section III-A).
+:class:`Packet` does not own its flits.  A sender (endpoint injection,
+stash retrieval) mints ``Flit(pkt, idx)`` as the flit goes on the wire,
+as BookSim does: a flit points at its packet and nothing points back,
+so a delivered packet is freed by reference counting.  Flit objects are
+immutable; the multi-drop row bus duplicates a flit by latching the
+*same* object into two buffers (paper Section III-A).
 
 Routing decisions are recomputed per hop and read only at head-flit time;
 body and tail flits follow arbiter locks, so mutable per-hop routing state
@@ -55,8 +57,6 @@ class Packet:
         "seq",
         "birth_cycle",
         "inject_cycle",
-        "eject_cycle",
-        "flits",
         # --- routing state (written at head-flit route compute only) ---
         "vc",
         "out_port",
@@ -71,12 +71,10 @@ class Packet:
         "ack_ecn",
         "ack_for",
         # --- stashing state ---
-        "is_stash_copy",
         "stash_origin_port",
         "stash_port",
         "final_vc",
         "intended_out_port",
-        "retransmissions",
     )
 
     def __init__(
@@ -101,8 +99,6 @@ class Packet:
         self.seq = seq
         self.birth_cycle = birth_cycle
         self.inject_cycle = -1
-        self.eject_cycle = -1
-        self.flits = [Flit(self, i) for i in range(size)]
 
         self.vc = 0
         self.out_port = -1
@@ -117,19 +113,10 @@ class Packet:
         self.ack_ecn = False
         self.ack_for = -1
 
-        self.is_stash_copy = False
         self.stash_origin_port = -1
         self.stash_port = -1
         self.final_vc = -1
         self.intended_out_port = -1
-        self.retransmissions = 0
-
-    @property
-    def latency(self) -> int:
-        """Network latency: injection of head to ejection of tail."""
-        if self.inject_cycle < 0 or self.eject_cycle < 0:
-            raise ValueError(f"packet {self.pid} not yet delivered")
-        return self.eject_cycle - self.inject_cycle
 
     def stash_clone(self, pid: int) -> "Packet":
         """A retransmission clone carrying the same payload identity.
@@ -138,7 +125,7 @@ class Packet:
         the clone gets fresh routing/protocol state but keeps src/dst/
         size/message coordinates so the destination sees the same data.
         """
-        clone = Packet(
+        return Packet(
             pid,
             self.src,
             self.dst,
@@ -148,8 +135,6 @@ class Packet:
             msg_id=self.msg_id,
             seq=self.seq,
         )
-        clone.retransmissions = self.retransmissions + 1
-        return clone
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         kind = "ACK" if self.kind == PacketKind.ACK else "DATA"

@@ -282,7 +282,6 @@ class InputPort:
             sw.reliability_on
             and self.is_end_port
             and pkt.kind == PacketKind.DATA
-            and not pkt.is_stash_copy
         )
         normal_ok = self.row_credits[col][vc] >= 1
 
@@ -478,7 +477,7 @@ class InputPort:
                 sw.inflight += pkt.size
 
         pkt, idx, col, dup_col = self.retrieval
-        flit = pkt.flits[idx]
+        flit = Flit(pkt, idx)
         row_tiles = sw.tiles[self.row]
         self.row_credits[col][R_VC] -= 1
         row_tiles[col].receive(self.slot, R_VC, flit, None)

@@ -28,6 +28,7 @@ from repro.engine.config import (
 from repro.engine.simulator import Simulator
 from repro.network import Network
 from repro.obs import audit, harvest
+from repro.switch.flit import Flit, Packet
 from repro.topology.single_switch import SingleSwitchTopology
 
 
@@ -212,6 +213,12 @@ def drain_and_check(net: Network, max_cycles: int = 60000) -> None:
     assert net.drain(max_cycles), "network failed to drain"
     left = {name: n for name, n in audit(net).items() if n}
     assert not left, f"left in flight after drain: {left}"
+
+
+def packet_flits(pkt: Packet) -> list[Flit]:
+    """The flits a sender mints for ``pkt``, head to tail (a packet does
+    not own its flits)."""
+    return [Flit(pkt, i) for i in range(pkt.size)]
 
 
 def completed_messages(net: Network) -> list:

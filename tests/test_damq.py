@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.switch.damq import Damq, VcSpaceAccounting
 from repro.switch.flit import Packet
+from tests.conftest import packet_flits
 
 
 class TestVcSpaceAccounting:
@@ -73,14 +74,14 @@ class TestDamq:
     def test_admit_then_stream(self):
         d = Damq(num_vcs=2, capacity=16, reserve=0)
         pkt = self._pkt(4)
-        for f in pkt.flits:
+        for f in packet_flits(pkt):
             assert d.space.can_admit(0, 1)
             d.admit_flit(0)
             d.push(0, f)
         assert len(d.queues[0]) == d.total_flits == 4
         assert d.total_committed == 4
         out = [d.pop_no_release(0) for _ in range(4)]
-        assert out == pkt.flits
+        assert [(f.pkt, f.idx) for f in out] == [(pkt, i) for i in range(4)]
         d.space.release(0, 4)
         assert d.total_flits == d.total_committed == d.occ_mask == 0
 
@@ -96,7 +97,7 @@ class TestDamq:
         d = Damq(1, 8, 0)
         pkt = self._pkt(2)
         d.admit_flit(0)
-        d.push(0, pkt.flits[0])
+        d.push(0, packet_flits(pkt)[0])
         d.pop_no_release(0)
         assert d.total_committed == 1  # space still held
         d.space.release(0, 1)
@@ -117,12 +118,12 @@ class TestMirrorProtocol:
         mirror = VcSpaceAccounting(num_vcs=2, capacity=12, reserve=0)
         p1, p2 = Packet(1, 0, 1, 4), Packet(2, 0, 1, 4)
 
-        for f in p1.flits:
+        for f in packet_flits(p1):
             assert mirror.can_admit(0, 1)
             mirror.admit(0, 1)
             real.admit_flit(0)
             real.push(0, f)
-        for f in p2.flits:
+        for f in packet_flits(p2):
             mirror.admit(1, 1)
             real.admit_flit(1)
             real.push(1, f)

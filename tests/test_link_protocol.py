@@ -10,11 +10,11 @@ from repro.engine.config import LinkParams
 from repro.network import Network
 from repro.protocol.link import LinkReceiver, LinkSender
 from repro.switch.flit import Packet
-from tests.conftest import drain_and_check, micro_config
+from tests.conftest import drain_and_check, micro_config, packet_flits
 
 
 def _flits(n=8):
-    return Packet(1, 0, 1, n).flits
+    return packet_flits(Packet(1, 0, 1, n))
 
 
 class TestLinkParams:

@@ -3,11 +3,18 @@
 import gc
 import math
 from collections import deque
+from dataclasses import replace
 
 import pytest
 
-from repro.engine.config import StashParams, small_preset
+from repro.endpoints.endpoint import Endpoint
+from repro.engine.base import get_engine
+from repro.engine.config import StashParams, small_preset, tiny_preset
+from repro.engine.simulator import Simulator
 from repro.network import Network
+from repro.scenario import UniformTraffic, build_network, reliability_scenario
+from repro.switch.flit import Flit, Packet
+from repro.switch.tiled_switch import TiledSwitch
 from tests.conftest import drain_and_check, micro_config, single_switch_net
 
 
@@ -55,6 +62,58 @@ class TestMemoryFollowsTraffic:
         drain_and_check(net)
         assert (net.messages, ep.send_queues) == ({}, {})
         assert (net.messages_posted, net.messages_delivered) == (2, 2)
+
+
+def _cyclic_garbage() -> list:
+    """What a full collection finds unreachable (``gc.DEBUG_SAVEALL``)."""
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    gc.collect()
+    found = list(gc.garbage)
+    gc.garbage.clear()
+    return found
+
+
+@pytest.fixture
+def collector_off():
+    """The cyclic collector off for the test, its state restored after."""
+    gc.collect()
+    enabled, debug = gc.isenabled(), gc.get_debug()
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.set_debug(debug)
+        gc.garbage.clear()
+        if enabled:
+            gc.enable()
+
+
+@pytest.mark.usefixtures("collector_off")
+class TestNoCyclicGarbage:
+    """A delivered packet and a finished network are freed without the
+    cyclic collector's help: a flit points at its packet and nothing
+    points back, and ``CycleEngine.run`` collects its network once."""
+
+    def test_delivered_packets_are_freed_by_refcount(self):
+        net = build_network(reliability_scenario(
+            tiny_preset(), "stash100", traffic=(UniformTraffic(rate=0.5),)
+        ))
+        net.sim.run(2000)
+        assert net.total_data_packets_delivered > 0
+        left = [o for o in _cyclic_garbage() if isinstance(o, (Packet, Flit))]
+        assert not left, f"{len(left)} packets and flits left for the GC"
+
+    def test_finished_network_is_freed_before_run_returns(self):
+        cfg = micro_config()
+        cfg = cfg.with_(sim=replace(cfg.sim, warmup_cycles=100,
+                                    measure_cycles=300, drain_cycles=3000))
+        get_engine("cycle").run(reliability_scenario(
+            cfg, "stash100", traffic=(UniformTraffic(rate=0.5),)
+        ))
+        kinds = (Network, Simulator, TiledSwitch, Endpoint)
+        left = {type(o).__name__ for o in _cyclic_garbage()
+                if isinstance(o, kinds)}
+        assert not left, f"finished network left for the GC: {left}"
 
 
 class TestStatsWindows:
