@@ -38,11 +38,15 @@ solves for the steady state directly:
   The reported numbers average the post-convergence tail of the steps.
 
 The flow table is a set of numpy arrays built once per run (flows in
-source-switch, destination, route order); every reduction over it is a
-sequential ``bincount``/``cumsum`` or a stable sort, and nothing calls
-into BLAS.  No RNG, no dict-order or thread-count dependence — results
-are a pure function of the :class:`~repro.scenario.spec.ScenarioSpec`,
-hence byte-identical for any ``--jobs`` value.
+source-switch, destination, route order): float64 values, int32 for
+the per-flow index columns and the link-to-flow map (:data:`Gathers`),
+intp for the rest.  The solver sums only by sequential ``bincount`` /
+``cumsum`` in input order; ``_summarise`` sums the loads and weighted
+latency means pairwise (``ndarray.sum()``), as fixed an order but not
+a sequential one.  Sorts are stable, nothing calls into BLAS, and no
+RNG, dict order or thread count is read, so results are a pure
+function of the :class:`~repro.scenario.spec.ScenarioSpec`, hence
+byte-identical for any ``--jobs`` value.
 
 Accuracy envelope (measured by :mod:`repro.analysis.crosscheck`; see
 docs/FASTPATH.md): mean throughput within 10 % of the cycle engine on
@@ -75,6 +79,9 @@ __all__ = ["FlowEngine"]
 
 Floats = NDArray[np.float64]
 Ints = NDArray[np.intp]
+#: an int32 index column; bincount inputs and the entry-sized indices the
+#: solver gathers through every step stay intp (docs/FASTPATH.md, Memory)
+Gathers = NDArray[np.int32]
 
 #: per-switch-traversal pipeline cost (route + arbitration + crossbar),
 #: calibrated against the cycle engine's zero-load latency
@@ -122,6 +129,11 @@ def _ragged(ptr: Ints, rows: Ints) -> Ints:
     return out
 
 
+def _entry_values(ptr: Ints, rows: Ints, values: Floats) -> Floats:
+    """``values[r]`` for each index of ``_ragged(ptr, rows)``, in order."""
+    return values[rows].repeat(ptr[rows + 1] - ptr[rows])
+
+
 def _next_ports(topo: "Topology") -> Ints:
     """The minimal next output port by ``(choice, current switch,
     destination switch)``, -1 where no route passes: one choice on a
@@ -163,9 +175,10 @@ class _Incidence:
     flow_ptr: Ints
     entry_flow: Ints
     entry_link: Ints
-    #: link ``l`` owns ``link_order[link_ptr[l]:link_ptr[l + 1]]``
+    #: the flows of link ``l``'s entries, in entry order:
+    #: ``link_flow[link_ptr[l]:link_ptr[l + 1]]``
     link_ptr: Ints
-    link_order: Ints
+    link_flow: Gathers
 
     @classmethod
     def build(
@@ -173,14 +186,16 @@ class _Incidence:
     ) -> "_Incidence":
         zero = np.zeros(1, dtype=np.intp)
         per_link = np.bincount(entry_link, minlength=n_links)
+        entry_flow = np.repeat(
+            np.arange(len(entries_per_flow)), entries_per_flow
+        )
+        by_link = entry_flow[np.argsort(entry_link, kind="stable")]
         return cls(
             flow_ptr=np.concatenate((zero, np.cumsum(entries_per_flow))),
-            entry_flow=np.repeat(
-                np.arange(len(entries_per_flow)), entries_per_flow
-            ),
+            entry_flow=entry_flow,
             entry_link=entry_link,
             link_ptr=np.concatenate((zero, np.cumsum(per_link))),
-            link_order=np.argsort(entry_link, kind="stable"),
+            link_flow=by_link.astype(np.int32),
         )
 
 
@@ -215,6 +230,7 @@ def _maxmin(
         live_links, live_weight = live_links[live], live_weight[live]
     link_weight = np.bincount(live_links, live_weight, minlength=n_links)
     link_count = np.bincount(live_links, minlength=n_links)
+    del live_links, live_weight
     frozen_load = np.zeros(n_links)
     while remaining:
         fill = np.full(n_links, math.inf)
@@ -231,7 +247,8 @@ def _maxmin(
         else:
             # saturated: fills at this round's level to _EPS in rate units
             full = np.flatnonzero(fill <= level + _EPS)
-            flows = inc.entry_flow[inc.link_order[_ragged(inc.link_ptr, full)]]
+            # their entries' flows, widened once: they index below
+            flows = inc.link_flow[_ragged(inc.link_ptr, full)].astype(np.intp)
             flows = np.sort(flows[active[flows]])
             # once each, though a flow may cross two links filling together
             flows = flows[np.diff(flows, prepend=-1) > 0]
@@ -240,11 +257,11 @@ def _maxmin(
         remaining -= len(flows)
         gone = _ragged(inc.flow_ptr, flows)
         links, weight = inc.entry_link[gone], entry_weight[gone]
+        del gone
         link_weight -= np.bincount(links, weight, minlength=n_links)
         link_count -= np.bincount(links, minlength=n_links)
-        frozen_load += np.bincount(
-            links, weight * alloc[inc.entry_flow[gone]], minlength=n_links
-        )
+        weight *= _entry_values(inc.flow_ptr, flows, alloc)
+        frozen_load += np.bincount(links, weight, minlength=n_links)
     return alloc
 
 
@@ -273,10 +290,10 @@ class _FlowTable:
     demand: Floats
     base_latency: Floats
     msg_flits: Floats
-    klass: Ints  # ECN window class index
-    group: Ints  # index into ``groups``
+    klass: Gathers  # ECN window class index
+    group: Gathers  # index into ``groups``
     #: virtual stash-pool link (consumed at coefficient rtt), or -1
-    stash_link: Ints
+    stash_link: Gathers
     #: the links each flow's ACKs consume, with the ACK-rate share ...
     ack_flow: Ints
     ack_link: Ints
@@ -498,9 +515,9 @@ class _FlowBuilder:
         put["demand"].append(demand[row])
         put["base_latency"].append(latency(dst[row], route))
         put["msg_flits"].append(np.full(n, float(msg_flits)))
-        put["klass"].append(np.full(n, self.classes.index(name), dtype=np.intp))
-        put["group"].append(np.full(n, self.groups.index(group), dtype=np.intp))
-        put["stash_link"].append(pool)
+        put["klass"].append(np.full(n, self.classes.index(name), dtype=np.int32))
+        put["group"].append(np.full(n, self.groups.index(group), dtype=np.int32))
+        put["stash_link"].append(pool.astype(np.int32))
         put["ack_flow"].append(self.n_flows + np.nonzero(acked >= 0)[0])
         put["ack_link"].append(acked[acked >= 0])
         put["ack_share"].append(ack_share[acked >= 0])
@@ -640,7 +657,6 @@ class FlowEngine:
         pool_of = t.stash_link[pooled]
         flow_inj = inc.entry_link[inc.flow_ptr[:-1]]  # a flow's first link
         entry_weight = t.weight[inc.entry_flow]
-        entry_msg = t.msg_flits[inc.entry_flow]
         rtt = 2.0 * t.base_latency
         ack_load = np.zeros(n_links)
         buffer_cap = float(cfg.switch.input_buffer_flits)
@@ -665,11 +681,11 @@ class FlowEngine:
             # coefficients and the ECN window caps next step)
             rho = np.minimum(util, 0.999999)
             wait = 0.5 * rho / (1.0 - rho)
-            qdelay = np.bincount(
-                inc.entry_flow,
-                np.minimum(wait[inc.entry_link] * entry_msg, buffer_cap),
-                minlength=len(alloc),
-            )
+            queued = wait[inc.entry_link]
+            queued *= t.msg_flits[inc.entry_flow]
+            np.minimum(queued, buffer_cap, out=queued)
+            qdelay = np.bincount(inc.entry_flow, queued, minlength=len(alloc))
+            del queued
             rtt = 0.5 * rtt + 0.5 * (2.0 * (t.base_latency + qdelay))
             # next step's ACK background load (priority traffic)
             ack_rate = rate / t.msg_flits
@@ -683,9 +699,8 @@ class FlowEngine:
             )
             if ecn.enabled:
                 hot = (util >= _ECN_UTILIZATION)[inc.entry_link]
-                congested = np.bincount(
-                    t.klass[inc.entry_flow[hot]], minlength=len(windows)
-                ) > 0
+                congested = np.zeros(len(windows), dtype=bool)
+                congested[t.klass[inc.entry_flow[hot]]] = True
                 windows = np.where(
                     congested,
                     np.maximum(float(ecn.window_min_flits),

@@ -8,17 +8,22 @@ statistically close.
 
 from __future__ import annotations
 
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro.engine import fastpath
 from repro.engine.base import EngineResult, EngineUnsupported, get_engine
-from repro.engine.config import tiny_preset
+from repro.engine.config import small_preset, tiny_preset
 from repro.scenario import (
     FatTreeTopologySpec,
     ScenarioSpec,
     SingleSwitchTopologySpec,
+    UniformAggressorTraffic,
     UniformTraffic,
+    congestion_scenario,
     reliability_scenario,
 )
 from tests.conftest import micro_config
@@ -197,3 +202,84 @@ def test_flow_result_schema_matches_cycle():
     ):
         assert hasattr(flow, field) and hasattr(cycle, field)
     assert flow.engine == "flow" and cycle.engine == "cycle"
+
+
+# ----------------------------------------------------------------------
+# memory: the flow table's dtypes and one solve's footprint
+# (docs/FASTPATH.md, "Memory")
+# ----------------------------------------------------------------------
+
+
+def _spy_tables(monkeypatch):
+    """Record every flow table the engine solves."""
+    tables = []
+    solve = fastpath.FlowEngine._solve
+
+    def spy(self, cfg, table):
+        tables.append(table)
+        return solve(self, cfg, table)
+
+    monkeypatch.setattr(fastpath.FlowEngine, "_solve", spy)
+    return tables
+
+
+def test_gather_columns_are_int32_and_bincount_reads_only_intp(monkeypatch):
+    """The per-flow index columns and the link-to-flow map are int32.
+    Every array ``np.bincount`` reads is intp, since bincount copies any
+    other integer input to a full intp array first, and so is every
+    entry-sized index the solver gathers through each step, since numpy
+    gathers through an int32 index ~3x slower.  Stash-bound and ECN runs
+    cover both solver branches."""
+    tables = _spy_tables(monkeypatch)
+    read = set()
+    bincount = np.bincount
+
+    def spy(x, *args, **kwargs):
+        read.add(np.asarray(x).dtype)
+        return bincount(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "bincount", spy)
+    cfg = tiny_preset()
+    _flow(reliability_scenario(
+        cfg, "stash25", traffic=(UniformTraffic(rate=0.8),)
+    ))
+    _flow(congestion_scenario(
+        cfg, "stash100", traffic=(UniformAggressorTraffic(burst_flits=64),)
+    ))
+    assert read == {np.dtype(np.intp)}
+    assert len(tables) == 2
+    for t in tables:
+        for column in (t.inc.link_flow, t.klass, t.group, t.stash_link):
+            assert column.dtype == np.int32
+        for column in (t.inc.flow_ptr, t.inc.entry_flow, t.inc.entry_link,
+                       t.inc.link_ptr, t.ack_flow, t.ack_link, t.member_inj,
+                       t.member_eject):
+            assert column.dtype == np.intp
+
+
+def test_flow_solve_peak_bytes_per_incidence_entry(monkeypatch):
+    """``tracemalloc`` peak of one run per incidence entry, on a
+    234-node dragonfly (100,854 entries) large enough that fixed costs
+    vanish.  With six entry-sized temporaries alive in the freeze
+    update and every index column intp it read ~127 B; with the
+    per-entry allocation multiplied in place and the gathered-from
+    columns int32, ~99 B."""
+    tables = _spy_tables(monkeypatch)
+    base = small_preset()
+    cfg = base.with_(
+        dragonfly=replace(base.dragonfly, p=3, a=6, h=2),
+        switch=replace(base.switch, num_ports=16, rows=4, cols=4),
+    )
+    spec = reliability_scenario(
+        cfg, "stash25", traffic=(UniformTraffic(rate=0.7),)
+    )
+    tracemalloc.start()
+    try:
+        _flow(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    (t,) = tables
+    entries = len(t.inc.entry_link)
+    assert entries > 100_000
+    assert peak / entries < 113.0, f"{peak / entries:.1f} B per entry"

@@ -113,3 +113,49 @@ def test_every_fixed_point_step_carries_the_certificate(
         cfg, variant, traffic=(UniformTraffic(rate=rate),)
     ))
     assert len(steps) == fastpath._FP_STEPS
+
+
+@st.composite
+def freezes(draw):
+    """A CSR pointer over drawn row lengths (empty rows too), a set of
+    distinct rows in drawn order and dtype, and per-entry links and
+    weights plus per-row allocations spread over six decades, so that a
+    sum in any other order rounds differently."""
+    lens = draw(st.lists(st.integers(0, 6), min_size=1, max_size=12))
+    ptr = np.concatenate(([0], np.cumsum(lens))).astype(np.intp)
+    n_entries = int(ptr[-1])
+    rows = draw(st.lists(st.integers(0, len(lens) - 1), unique=True))
+    dtype = draw(st.sampled_from([np.intp, np.int32]))
+    wide = st.floats(1e-3, 1e3)
+    return (
+        ptr, np.array(rows, dtype=dtype),
+        np.array(draw(st.lists(wide, min_size=len(lens), max_size=len(lens)))),
+        np.array(draw(st.lists(st.integers(0, 3), min_size=n_entries,
+                               max_size=n_entries)), dtype=np.intp),
+        np.array(draw(st.lists(wide, min_size=n_entries,
+                               max_size=n_entries))),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(freezes())
+def test_freeze_update_is_the_entry_order_loop(case):
+    """``_maxmin``'s freeze update, step by step, equals the plain loop
+    over the frozen flows' entries in flow order: the entry indices,
+    each entry's allocation, and the frozen load summed in that order
+    (a chunked or mask-ordered sum would round differently)."""
+    ptr, rows, alloc, entry_link, entry_weight = case
+    entries = [(r, e) for r in rows.tolist()
+               for e in range(ptr[r], ptr[r + 1])]
+    gone = fastpath._ragged(ptr, rows)
+    assert gone.tolist() == [e for _, e in entries]
+    per_entry = fastpath._entry_values(ptr, rows, alloc)
+    assert per_entry.tolist() == [alloc[r] for r, _ in entries]
+    weight = entry_weight[gone]
+    weight *= per_entry
+    load = [0.0] * 4
+    for r, e in entries:
+        load[entry_link[e]] += entry_weight[e] * alloc[r]
+    assert np.bincount(
+        entry_link[gone], weight, minlength=4
+    ).tolist() == load
