@@ -40,13 +40,15 @@ solves for the steady state directly:
 The flow table is a set of numpy arrays built once per run (flows in
 source-switch, destination, route order): float64 values, int32 for
 the per-flow index columns and the link-to-flow map (:data:`Gathers`),
-intp for the rest.  The solver sums only by sequential ``bincount`` /
-``cumsum`` in input order; ``_summarise`` sums the loads and weighted
-latency means pairwise (``ndarray.sum()``), as fixed an order but not
-a sequential one.  Sorts are stable, nothing calls into BLAS, and no
-RNG, dict order or thread count is read, so results are a pure
-function of the :class:`~repro.scenario.spec.ScenarioSpec`, hence
-byte-identical for any ``--jobs`` value.
+intp for the rest (the CSR, the per-flow ACK link counts ``acks``);
+per-flow values reach their entries by ``np.repeat``.  The solver sums
+only by sequential ``bincount`` / ``cumsum`` in input order;
+``_summarise`` sums the loads and weighted latency means pairwise
+(``ndarray.sum()``), as fixed an order but not a sequential one.  Sorts
+are stable, nothing calls into BLAS, and no RNG, dict order or thread
+count is read, so results are a pure function of the
+:class:`~repro.scenario.spec.ScenarioSpec`, hence byte-identical for
+any ``--jobs`` value.
 
 Accuracy envelope (measured by :mod:`repro.analysis.crosscheck`; see
 docs/FASTPATH.md): mean throughput within 10 % of the cycle engine on
@@ -189,7 +191,9 @@ class _Incidence:
         entry_flow = np.repeat(
             np.arange(len(entries_per_flow)), entries_per_flow
         )
-        by_link = entry_flow[np.argsort(entry_link, kind="stable")]
+        # stable: one order in any dtype that holds the ids (uint16: radix)
+        narrow = entry_link.astype(np.min_scalar_type(n_links))
+        by_link = entry_flow[np.argsort(narrow, kind="stable")]
         return cls(
             flow_ptr=np.concatenate((zero, np.cumsum(entries_per_flow))),
             entry_flow=entry_flow,
@@ -214,7 +218,8 @@ def _maxmin(
     before the first such level, or freezes the flows of the link(s) at
     that level.  A link stops constraining when its *integer* count of
     unfrozen entries reaches zero, so the float residue its weight sum
-    keeps after subtraction is never compared against anything.
+    keeps after subtraction is never compared against anything.  It
+    stops at the freeze that empties the active set.
     """
     n_links = len(caps)
     alloc = np.zeros(len(demand_caps))
@@ -225,11 +230,12 @@ def _maxmin(
     active = demand_caps > _EPS
     remaining = len(order) - done
     live_links, live_weight = inc.entry_link, entry_weight
+    link_count = np.diff(inc.link_ptr)  # every entry is live
     if done:
-        live = active[inc.entry_flow]
+        live = np.repeat(active, np.diff(inc.flow_ptr))
         live_links, live_weight = live_links[live], live_weight[live]
+        link_count = np.bincount(live_links, minlength=n_links)
     link_weight = np.bincount(live_links, live_weight, minlength=n_links)
-    link_count = np.bincount(live_links, minlength=n_links)
     del live_links, live_weight
     frozen_load = np.zeros(n_links)
     while remaining:
@@ -255,6 +261,8 @@ def _maxmin(
             alloc[flows] = level
         active[flows] = False
         remaining -= len(flows)
+        if not remaining:
+            break  # the link sums below feed only a next round's fill
         gone = _ragged(inc.flow_ptr, flows)
         links, weight = inc.entry_link[gone], entry_weight[gone]
         del gone
@@ -294,8 +302,8 @@ class _FlowTable:
     group: Gathers  # index into ``groups``
     #: virtual stash-pool link (consumed at coefficient rtt), or -1
     stash_link: Gathers
-    #: the links each flow's ACKs consume, with the ACK-rate share ...
-    ack_flow: Ints
+    #: per flow, its ACKs' link count; those links and their ACK-rate share ...
+    acks: Ints
     ack_link: Ints
     ack_share: Floats
     #: ... and, per injection link, the ejection channels that take a
@@ -314,7 +322,7 @@ class _FlowBuilder:
 
     _COLUMNS = (
         "entries_per_flow", "entry_link", "weight", "demand", "base_latency",
-        "msg_flits", "klass", "group", "stash_link", "ack_flow", "ack_link",
+        "msg_flits", "klass", "group", "stash_link", "acks", "ack_link",
         "ack_share", "member_inj", "member_eject", "member_share",
     )
 
@@ -518,7 +526,7 @@ class _FlowBuilder:
         put["klass"].append(np.full(n, self.classes.index(name), dtype=np.int32))
         put["group"].append(np.full(n, self.groups.index(group), dtype=np.int32))
         put["stash_link"].append(pool.astype(np.int32))
-        put["ack_flow"].append(self.n_flows + np.nonzero(acked >= 0)[0])
+        put["acks"].append((acked >= 0).sum(axis=1))
         put["ack_link"].append(acked[acked >= 0])
         put["ack_share"].append(ack_share[acked >= 0])
         # every flow through an injection link also sends its ACKs, in
@@ -656,12 +664,13 @@ class FlowEngine:
         pool_entry = inc.flow_ptr[pooled + 1] - 1
         pool_of = t.stash_link[pooled]
         flow_inj = inc.entry_link[inc.flow_ptr[:-1]]  # a flow's first link
-        entry_weight = t.weight[inc.entry_flow]
+        per_flow = np.diff(inc.flow_ptr)  # entries per flow, for np.repeat
         rtt = 2.0 * t.base_latency
         ack_load = np.zeros(n_links)
         buffer_cap = float(cfg.switch.input_buffer_flits)
         tail: list[Floats] = []
         for step in range(steps):
+            entry_weight = np.repeat(t.weight, per_flow)
             entry_weight[pool_entry] = t.weight[pooled] * rtt[pooled]
             demand_caps = t.demand
             if ecn.enabled:
@@ -670,11 +679,12 @@ class FlowEngine:
                 inc, entry_weight, np.maximum(_EPS, t.caps - ack_load),
                 demand_caps,
             )
+            del entry_weight  # not held under the queueing and ACK passes
             # total (data + ACK) load per link under this allocation; a
             # stash pool is a constraint, not a channel: no load, no queue
             rate = t.weight * alloc
             util = (ack_load + np.bincount(
-                inc.entry_link, rate[inc.entry_flow], minlength=n_links
+                inc.entry_link, np.repeat(rate, per_flow), minlength=n_links
             )) / t.caps
             util[pool_of] = 0.0
             # queueing delay -> damped RTT update (feeds the stash pool
@@ -682,7 +692,7 @@ class FlowEngine:
             rho = np.minimum(util, 0.999999)
             wait = 0.5 * rho / (1.0 - rho)
             queued = wait[inc.entry_link]
-            queued *= t.msg_flits[inc.entry_flow]
+            queued *= np.repeat(t.msg_flits, per_flow)
             np.minimum(queued, buffer_cap, out=queued)
             qdelay = np.bincount(inc.entry_flow, queued, minlength=len(alloc))
             del queued
@@ -691,7 +701,7 @@ class FlowEngine:
             ack_rate = rate / t.msg_flits
             per_inj = np.bincount(flow_inj, ack_rate, minlength=n_links)
             ack_load = np.bincount(
-                t.ack_link, ack_rate[t.ack_flow] * t.ack_share,
+                t.ack_link, np.repeat(ack_rate, t.acks) * t.ack_share,
                 minlength=n_links,
             ) + np.bincount(
                 t.member_eject, per_inj[t.member_inj] * t.member_share,
@@ -700,7 +710,7 @@ class FlowEngine:
             if ecn.enabled:
                 hot = (util >= _ECN_UTILIZATION)[inc.entry_link]
                 congested = np.zeros(len(windows), dtype=bool)
-                congested[t.klass[inc.entry_flow[hot]]] = True
+                congested[np.repeat(t.klass, per_flow)[hot]] = True
                 windows = np.where(
                     congested,
                     np.maximum(float(ecn.window_min_flits),
