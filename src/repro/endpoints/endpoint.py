@@ -314,9 +314,9 @@ class Endpoint:
             return
         streams = self._streams
         if ACK_INJECT_VC not in streams:
-            self._start_next_ack(cycle)
+            self._start_next_ack()
         if DATA_INJECT_VC not in streams:
-            self._start_next_data(cycle)
+            self._start_next_data()
         if not streams:
             return
         mirror = self.mirror
@@ -345,7 +345,7 @@ class Endpoint:
         else:
             stream[1] = idx + 1
 
-    def _start_next_ack(self, cycle: int) -> None:
+    def _start_next_ack(self) -> None:
         """Hardware-generated ACKs (paper Section IV-A) ride their own
         injection VC, independent of the data queues."""
         if not self.ack_queue:
@@ -353,10 +353,9 @@ class Endpoint:
         ack = self.ack_queue.popleft()
         self.net.router.prepare_injection(ack)
         ack.vc = ACK_INJECT_VC
-        ack.inject_cycle = cycle
         self._streams[ACK_INJECT_VC] = [ack, 0]
 
-    def _start_next_data(self, cycle: int) -> None:
+    def _start_next_data(self) -> None:
         # per-packet round-robin over active queue pairs
         for _ in range(len(self._rr_dsts)):
             dst = self._rr_dsts[0]
@@ -378,6 +377,5 @@ class Endpoint:
             self._pending_acks[pkt.pid] = (dst, pkt.size)
             self.net.router.prepare_injection(pkt)
             pkt.vc = DATA_INJECT_VC
-            pkt.inject_cycle = cycle
             self._streams[DATA_INJECT_VC] = [pkt, 0]
             return

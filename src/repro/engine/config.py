@@ -339,32 +339,16 @@ class ObsParams:
 
     Disabled by default — the simulator then constructs no observer or
     trace at all, preserving the zero-overhead-when-off contract of
-    docs/OBSERVABILITY.md.  ``trace_events`` restricts tracing to an
-    allowlist of event types (empty = all); ``trace_start`` /
-    ``trace_stop`` bound the traced cycle window; ``trace_stride`` keeps
-    every N-th occurrence per event type; ``max_trace_records`` caps the
-    in-memory trace buffer (overflow is counted, not stored).
+    docs/OBSERVABILITY.md.  ``trace`` records every event the datapath
+    emits, up to :data:`repro.obs.events.MAX_RECORDS` per network.
     """
 
     enabled: bool = False
     trace: bool = False
-    trace_events: tuple[str, ...] = ()
-    trace_start: int = 0
-    trace_stop: int | None = None
-    trace_stride: int = 1
-    max_trace_records: int = 1_000_000
 
     def __post_init__(self) -> None:
         if self.trace and not self.enabled:
             raise ValueError("tracing requires obs.enabled")
-        if self.trace_start < 0:
-            raise ValueError("trace_start must be non-negative")
-        if self.trace_stop is not None and self.trace_stop <= self.trace_start:
-            raise ValueError("trace_stop must exceed trace_start")
-        if self.trace_stride < 1:
-            raise ValueError("trace_stride must be >= 1")
-        if self.max_trace_records < 1:
-            raise ValueError("max_trace_records must be >= 1")
 
 
 @dataclass(frozen=True)

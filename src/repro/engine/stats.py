@@ -23,12 +23,9 @@ class LatencyStats:
     def __init__(self) -> None:
         self._samples: list[float] = []
         self._sorted = True
-        self.enabled = True
 
     def record(self, value: float) -> None:
-        """Add one latency sample (ignored while disabled)."""
-        if not self.enabled:
-            return
+        """Add one latency sample."""
         self._samples.append(float(value))
         self._sorted = False
 

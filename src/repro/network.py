@@ -29,7 +29,7 @@ from repro.engine.simulator import Simulator
 from repro.engine.stats import LatencyStats, RateMeter
 from repro.obs.events import EventTrace
 from repro.obs.observer import NetworkObserver, harvest
-from repro.routing import make_dragonfly_router
+from repro.routing import DragonflyParRouter
 from repro.routing.routing import Router
 from repro.routing.single_switch_routing import SingleSwitchRouter
 from repro.switch.damq import VcSpaceAccounting
@@ -52,7 +52,6 @@ class Network:
         config: NetworkConfig,
         topology: Topology | None = None,
         router: Router | None = None,
-        routing_mode: str = "par",
     ) -> None:
         self.config = config
         self.rng = DeterministicRng(config.sim.seed)
@@ -64,9 +63,7 @@ class Network:
 
         if router is None:
             if isinstance(topology, DragonflyTopology):
-                router = make_dragonfly_router(
-                    topology, self.rng.stream("routing"), routing_mode
-                )
+                router = DragonflyParRouter(topology, self.rng.stream("routing"))
             elif isinstance(topology, SingleSwitchTopology):
                 router = SingleSwitchRouter(topology)
             else:
@@ -104,7 +101,6 @@ class Network:
 
         # statistics
         self.latency = LatencyStats()
-        self.inflight_latency = LatencyStats()
         self.group_latency: dict[str, LatencyStats] = {}
         self._group_nodes: dict[str, frozenset[int]] = {}
         self.accepted = RateMeter()
@@ -305,8 +301,6 @@ class Network:
         self._meas_delivered += 1
         latency = cycle - pkt.birth_cycle
         self.latency.record(latency)
-        if pkt.inject_cycle >= 0:
-            self.inflight_latency.record(cycle - pkt.inject_cycle)
         src = pkt.src
         for name, nodes in self._group_nodes.items():
             if src in nodes:

@@ -1,10 +1,9 @@
-"""Structured per-cycle event traces with sampling filters.
+"""Structured per-cycle event traces.
 
 An :class:`EventTrace` collects fixed-shape records — one tuple per
 event — that serialize to JSONL under the stable schema
-documented in docs/OBSERVABILITY.md.  Collection sits behind cheap
-filters (event allowlist, cycle window, per-event-type stride, and a
-hard record cap) so a trace of a long run stays bounded.
+documented in docs/OBSERVABILITY.md.  A hard record cap
+(:data:`MAX_RECORDS`) keeps a trace of a long run bounded.
 
 The hot paths do not call into this module unconditionally: components
 hold an ``obs`` attribute that is ``None`` unless tracing is enabled,
@@ -18,6 +17,7 @@ import json
 __all__ = [
     "EVENT_TYPES",
     "EventTrace",
+    "MAX_RECORDS",
     "SCHEMA_FIELDS",
     "SCHEMA_VERSION",
     "trace_header_line",
@@ -43,50 +43,32 @@ SCHEMA_FIELDS = ("run", "cycle", "event", "sw", "port", "vc", "pid", "value")
 SCHEMA_VERSION = 1
 
 
+#: Records one trace buffers; later events are counted in ``dropped``.
+MAX_RECORDS = 1_000_000
+
+
 class EventTrace:
-    """A bounded, filtered buffer of ``(cycle, event, sw, port, vc, pid,
-    value)`` tuples.
+    """A bounded buffer of ``(cycle, event, sw, port, vc, pid, value)``
+    tuples.
 
-    ``events`` restricts collection to an allowlist (empty = all types);
-    ``start``/``stop`` bound the cycle window; ``stride`` keeps every
-    N-th occurrence of each event type; ``max_records`` caps the buffer,
-    counting overflow in :attr:`dropped` instead of growing.
+    Every emitted event is kept until the buffer holds
+    :data:`MAX_RECORDS`; overflow is counted in :attr:`dropped` instead
+    of growing.
 
-    >>> t = EventTrace(events=("ecn.mark",), stride=2)
-    >>> for c in range(4): t.emit(c, "ecn.mark", 1, 2, 0, 10 + c, 0)
-    >>> t.emit(9, "flit.inject", -1, 0, 0, 99, 0)   # filtered out
-    >>> [r[0] for r in t.records]
-    [0, 2]
+    >>> t = EventTrace()
+    >>> for c in range(3): t.emit(c, "ecn.mark", 1, 2, 0, 10 + c, 0)
+    >>> t.emit(9, "flit.inject", -1, 0, 0, 99, 16)
+    >>> [(r[0], r[1]) for r in t.records]
+    [(0, 'ecn.mark'), (1, 'ecn.mark'), (2, 'ecn.mark'), (9, 'flit.inject')]
+    >>> t.dropped
+    0
     """
 
-    __slots__ = ("records", "dropped", "start", "stop", "stride",
-                 "max_records", "_wanted", "_seen")
+    __slots__ = ("records", "dropped")
 
-    def __init__(
-        self,
-        events: tuple[str, ...] = (),
-        start: int = 0,
-        stop: int | None = None,
-        stride: int = 1,
-        max_records: int = 1_000_000,
-    ) -> None:
-        for name in events:
-            if name not in EVENT_TYPES:
-                raise ValueError(
-                    f"unknown event type {name!r}; expected one of {EVENT_TYPES}"
-                )
-        if stride < 1:
-            raise ValueError("stride must be >= 1")
-        if max_records < 1:
-            raise ValueError("max_records must be >= 1")
+    def __init__(self) -> None:
         self.records: list[tuple] = []
         self.dropped = 0
-        self.start = start
-        self.stop = stop
-        self.stride = stride
-        self.max_records = max_records
-        self._wanted = frozenset(events or EVENT_TYPES)
-        self._seen = {name: 0 for name in EVENT_TYPES}
 
     def emit(
         self,
@@ -98,22 +80,16 @@ class EventTrace:
         pid: int,
         value: int | float,
     ) -> None:
-        """Record one event, subject to the configured filters.
+        """Record one event, or count it as dropped once the buffer is
+        full.
 
-        ``sw`` is the switch id (``-1`` for NIC-level events, whose
-        ``port`` field carries the node id instead); ``vc``/``pid`` are
-        ``-1`` when not applicable; ``value`` is event-specific (see
+        ``event`` is one of :data:`EVENT_TYPES`; ``sw`` is the switch
+        id (``-1`` for NIC-level events, whose ``port`` field carries
+        the node id instead); ``vc``/``pid`` are ``-1`` when not
+        applicable; ``value`` is event-specific (see
         docs/OBSERVABILITY.md).
         """
-        if event not in self._wanted:
-            return
-        if cycle < self.start or (self.stop is not None and cycle >= self.stop):
-            return
-        seen = self._seen[event]
-        self._seen[event] = seen + 1
-        if seen % self.stride:
-            return
-        if len(self.records) >= self.max_records:
+        if len(self.records) >= MAX_RECORDS:
             self.dropped += 1
             return
         self.records.append((cycle, event, sw, port, vc, pid, value))

@@ -52,16 +52,7 @@ class NetworkObserver:
     """The event trace and capture hook of one :class:`Network`."""
 
     def __init__(self, params: "ObsParams") -> None:
-        self.params = params
-        self.trace: EventTrace | None = None
-        if params.trace:
-            self.trace = EventTrace(
-                events=params.trace_events,
-                start=params.trace_start,
-                stop=params.trace_stop,
-                stride=params.trace_stride,
-                max_records=params.max_trace_records,
-            )
+        self.trace = EventTrace() if params.trace else None
         self.net: "Network | None" = None
 
     def attach(self, net: "Network") -> None:

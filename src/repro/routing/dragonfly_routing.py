@@ -1,4 +1,4 @@
-"""Dragonfly routing: minimal, Valiant, and progressive adaptive (PAR).
+"""Dragonfly routing: progressive adaptive routing (PAR6/2).
 
 PAR (Garcia et al., the paper's choice) routes minimally by default but
 may divert to a Valiant intermediate group while the packet is still in
@@ -16,20 +16,28 @@ from repro.routing.routing import Router, RoutingContext, VcLadder
 from repro.switch.flit import Packet
 from repro.topology.dragonfly import DragonflyTopology
 
-__all__ = [
-    "DragonflyMinimalRouter",
-    "DragonflyParRouter",
-    "DragonflyValiantRouter",
-    "make_dragonfly_router",
-]
+__all__ = ["DragonflyParRouter"]
+
+#: path-length penalty applied to the non-minimal candidate's queue
+BIAS = 2
+#: flits of minimal-path queue a diversion must beat, so light load
+#: stays minimal
+THRESHOLD = 4
 
 
-class _DragonflyRouterBase(Router):
+class DragonflyParRouter(Router):
+    """PAR6/2: progressive adaptive routing with six VCs (paper Section V).
+
+    A packet diverts when its minimal output's congestion exceeds
+    ``BIAS`` times the non-minimal candidate's plus ``THRESHOLD``.
+    """
+
     num_vcs_required = 6
 
-    def __init__(self, topo: DragonflyTopology) -> None:
+    def __init__(self, topo: DragonflyTopology, rng: random.Random) -> None:
         self.topo = topo
         self.ladder = VcLadder("LLGLGL")
+        self.rng = rng
 
     def _hop(self, packet: Packet, out_port: int, switch: int) -> tuple[int, int]:
         """Assign the ladder VC for a switch-to-switch hop and update the
@@ -52,25 +60,11 @@ class _DragonflyRouterBase(Router):
         out = topo.route_to_group(s, topo.group_of(dst_switch))
         return self._hop(packet, out, s)
 
-
-class DragonflyMinimalRouter(_DragonflyRouterBase):
-    """MIN: always the direct l-g-l path."""
-
-    def route(self, ctx: RoutingContext, in_port: int, packet: Packet) -> tuple[int, int]:
-        return self._minimal(ctx, packet)
-
-
-class _ValiantMixin(_DragonflyRouterBase):
-    def __init__(self, topo: DragonflyTopology, rng: random.Random) -> None:
-        super().__init__(topo)
-        self.rng = rng
-
     def _pick_mid_group(self, src_group: int, dst_group: int) -> int:
+        """A uniformly random group other than the source and the
+        destination (``route`` asks only when there are at least three)."""
         g = self.topo.g
-        choices = g - 2  # exclude source and destination groups
-        if choices <= 0:
-            return dst_group  # two-group network: Valiant degenerates to MIN
-        pick = self.rng.randrange(choices)
+        pick = self.rng.randrange(g - 2)
         for grp in range(g):
             if grp in (src_group, dst_group):
                 continue
@@ -84,48 +78,6 @@ class _ValiantMixin(_DragonflyRouterBase):
     ) -> tuple[int, int]:
         s = ctx.switch_id
         return self._hop(packet, self.topo.route_to_group(s, group), s)
-
-
-class DragonflyValiantRouter(_ValiantMixin):
-    """VAL: always through a random intermediate group (uniform load)."""
-
-    def route(self, ctx: RoutingContext, in_port: int, packet: Packet) -> tuple[int, int]:
-        topo = self.topo
-        s = ctx.switch_id
-        dst_group = topo.group_of(topo.node_switch(packet.dst))
-        here = topo.group_of(s)
-        if packet.mid_group == -1 and not packet.route_committed:
-            src_group = here
-            if src_group == dst_group:
-                return self._minimal(ctx, packet)
-            packet.nonminimal = True
-            packet.mid_group = self._pick_mid_group(src_group, dst_group)
-        if packet.mid_group >= 0 and here == packet.mid_group:
-            packet.mid_group = -2  # intermediate group reached; go minimal
-        if packet.mid_group >= 0 and here != dst_group:
-            return self._toward_group(ctx, packet, packet.mid_group)
-        return self._minimal(ctx, packet)
-
-
-class DragonflyParRouter(_ValiantMixin):
-    """PAR6/2: progressive adaptive routing with six VCs (paper Section V).
-
-    ``bias`` is the path-length penalty applied to the non-minimal
-    candidate; ``threshold`` (flits) suppresses diversion under light
-    load.
-    """
-
-    def __init__(
-        self,
-        topo: DragonflyTopology,
-        rng: random.Random,
-        bias: int = 2,
-        threshold: int = 4,
-    ) -> None:
-        super().__init__(topo, rng)
-        self.bias = bias
-        self.threshold = threshold
-        self.diversions = 0
 
     def route(self, ctx: RoutingContext, in_port: int, packet: Packet) -> tuple[int, int]:
         topo = self.topo
@@ -160,22 +112,8 @@ class DragonflyParRouter(_ValiantMixin):
             return self._minimal(ctx, packet)
         q_min = ctx.output_congestion(min_port)
         q_nonmin = ctx.output_congestion(nonmin_port)
-        if q_min > self.bias * q_nonmin + self.threshold:
-            self.diversions += 1
+        if q_min > BIAS * q_nonmin + THRESHOLD:
             packet.nonminimal = True
             packet.mid_group = mid_group
             return self._hop(packet, nonmin_port, s)
         return self._hop(packet, min_port, s)
-
-
-def make_dragonfly_router(
-    topo: DragonflyTopology, rng: random.Random, mode: str = "par"
-) -> _DragonflyRouterBase:
-    """Factory: ``mode`` in {"min", "val", "par"}."""
-    if mode == "min":
-        return DragonflyMinimalRouter(topo)
-    if mode == "val":
-        return DragonflyValiantRouter(topo, rng)
-    if mode == "par":
-        return DragonflyParRouter(topo, rng)
-    raise ValueError(f"unknown dragonfly routing mode {mode!r}")

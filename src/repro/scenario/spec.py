@@ -193,7 +193,6 @@ class ScenarioSpec:
     variant_kind: str = "plain"
     variant: str = "baseline"
     topology: TopologySpec = DragonflyTopologySpec()
-    routing_mode: str = "par"
     traffic: tuple[TrafficSpec, ...] = ()
     drain: bool = True
     seed: int | None = None
@@ -267,22 +266,25 @@ class ScenarioSpec:
 
         Identical for identical specs across processes, hosts, and
         engines — the cross-validation key that proves both engines ran
-        the same scenario.
+        the same scenario.  It covers only what changes a result: the
+        kernel, the wake oracle and observability (``sim.kernel``,
+        ``sim.verify_wake``, ``obs``) are byte-identical by contract,
+        so they stay out and one scenario keeps one key however it is
+        run.
         """
+        config = asdict(self.config)
+        del config["obs"]
+        del config["sim"]["kernel"], config["sim"]["verify_wake"]
         payload: dict[str, Any] = {
-            "config": asdict(self.config),
+            "config": config,
             "variant_kind": self.variant_kind,
             "variant": self.variant,
             "topology": asdict(self.topology),
-            "routing_mode": self.routing_mode,
             "traffic": [asdict(t) for t in self.traffic],
             "drain": self.drain,
             "seed": self.seed,
+            "probes": list(self.probes),
         }
-        if self.probes:
-            # absent when empty: a probe-less spec hashes as it did
-            # before the field existed, so stored results stay valid
-            payload["probes"] = list(self.probes)
         canon = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
@@ -437,11 +439,6 @@ def build_network(spec: ScenarioSpec) -> "Network":
         router = FatTreeRouter(
             topo, DeterministicRng(cfg.sim.seed).stream("fattree-routing")
         )
-    net = Network(
-        cfg,
-        topology=topo,
-        router=router,
-        routing_mode=spec.routing_mode,
-    )
+    net = Network(cfg, topology=topo, router=router)
     apply_traffic(net, spec)
     return net

@@ -56,7 +56,6 @@ class Packet:
         "msg_id",
         "seq",
         "birth_cycle",
-        "inject_cycle",
         # --- routing state (written at head-flit route compute only) ---
         "vc",
         "out_port",
@@ -98,7 +97,6 @@ class Packet:
         self.msg_id = msg_id
         self.seq = seq
         self.birth_cycle = birth_cycle
-        self.inject_cycle = -1
 
         self.vc = 0
         self.out_port = -1

@@ -20,14 +20,19 @@ float of every solve — dragonfly, fat-tree and single switch, stash
 pools, ECN windows and hot spots — is held to the bytes the per-pair
 walk produced.
 
-If an intentional behaviour change breaks one of these, regenerate the
-golden in the same commit and say so in the commit message.
+Every golden's renderer sits in one table, :data:`GOLDEN_RENDERERS`,
+which these tests and ``python -m tests.regen`` both read.  If an
+intentional behaviour change breaks one of these, regenerate with that
+tool in the same commit and paste its moved-number table into the
+commit message.
 """
 
 from __future__ import annotations
 
 import importlib
+from functools import partial
 from pathlib import Path
+from typing import Callable
 
 import pytest
 
@@ -61,18 +66,10 @@ def _golden_config():
     )
 
 
-def _assert_matches(name: str, rendered: str) -> None:
-    golden = (GOLDENS / name).read_text()
-    assert rendered + "\n" == golden, (
-        f"{name} drifted from the pre-refactor capture; diff the "
-        f"rendered output against tests/goldens/{name}"
-    )
-
-
-def test_fig5_byte_identical_to_pre_scenario_capture():
+def _render_fig5() -> str:
     from repro.experiments.fig5 import format_fig5
 
-    out = format_fig5(
+    return format_fig5(
         sweep_rows(
             "fig5",
             _golden_config(),
@@ -81,13 +78,12 @@ def test_fig5_byte_identical_to_pre_scenario_capture():
             seed=3,
         )
     )
-    _assert_matches("fig5_micro.txt", out)
 
 
-def test_fig9_byte_identical_to_pre_scenario_capture():
+def _render_fig9() -> str:
     from repro.experiments.fig9 import format_fig9
 
-    out = format_fig9(
+    return format_fig9(
         sweep_rows(
             "fig9",
             _golden_config(),
@@ -95,13 +91,12 @@ def test_fig9_byte_identical_to_pre_scenario_capture():
             seed=3,
         )
     )
-    _assert_matches("fig9_micro.txt", out)
 
 
-def test_fattree_byte_identical_to_pre_scenario_capture():
+def _render_fattree() -> str:
     from repro.experiments.fattree_exp import format_fattree
 
-    out = format_fattree(
+    return format_fattree(
         sweep_rows(
             "fattree",
             _golden_config(),
@@ -109,26 +104,24 @@ def test_fattree_byte_identical_to_pre_scenario_capture():
             seed=3,
         )
     )
-    _assert_matches("fattree_micro.txt", out)
 
 
-@pytest.mark.parametrize(
-    "sweep, axes",
-    [
-        ("fig6", {"apps": ("MiniFE",), "variants": ("baseline", "stash100"),
-                  "size_scale": 2}),
-        ("fig7", {}),
-        ("fig8", {}),
-        ("occupancy", {}),
-        ("ablation", {"speedups": (1.0, 1.3)}),
-    ],
-)
-def test_migrated_experiment_byte_identical_to_run_driver_capture(sweep, axes):
+#: the sweeps migrated off per-experiment ``run_*`` drivers, with the
+#: axes their goldens were captured at
+_MIGRATED = [
+    ("fig6", {"apps": ("MiniFE",), "variants": ("baseline", "stash100"),
+              "size_scale": 2}),
+    ("fig7", {}),
+    ("fig8", {}),
+    ("occupancy", {}),
+    ("ablation", {"speedups": (1.0, 1.3)}),
+]
+
+
+def _render_migrated(sweep: str, axes: dict) -> str:
     rows = sweep_rows(sweep, _golden_config(), axes, seed=3)
     module = importlib.import_module(SWEEPS[sweep].module)
-    _assert_matches(
-        f"{sweep}_micro.txt", getattr(module, f"format_{sweep}")(rows)
-    )
+    return getattr(module, f"format_{sweep}")(rows)
 
 
 def _flow_specs() -> list[tuple[str, ScenarioSpec]]:
@@ -165,11 +158,64 @@ def _flow_specs() -> list[tuple[str, ScenarioSpec]]:
     return specs
 
 
-def test_flow_engine_byte_identical_to_capture():
+def _render_flow() -> str:
     flow = get_engine("flow")
-    _assert_matches("flow_micro.txt", "\n".join(
+    return "\n".join(
         f"{label}: {flow.run(spec)!r}" for label, spec in _flow_specs()
-    ))
+    )
+
+
+#: golden file name (under ``tests/goldens/``) -> its renderer, which
+#: returns the file's text without the final newline
+GOLDEN_RENDERERS: dict[str, Callable[[], str]] = {
+    "fig5_micro.txt": _render_fig5,
+    "fig9_micro.txt": _render_fig9,
+    "fattree_micro.txt": _render_fattree,
+    **{
+        f"{sweep}_micro.txt": partial(_render_migrated, sweep, axes)
+        for sweep, axes in _MIGRATED
+    },
+    "flow_micro.txt": _render_flow,
+}
+
+
+def _assert_matches(name: str, rendered: str) -> None:
+    golden = (GOLDENS / name).read_text()
+    assert rendered + "\n" == golden, (
+        f"{name} drifted from the pre-refactor capture; diff the "
+        f"rendered output against tests/goldens/{name}"
+    )
+
+
+def _assert_golden(name: str) -> None:
+    _assert_matches(name, GOLDEN_RENDERERS[name]())
+
+
+def test_every_golden_has_one_renderer():
+    assert sorted(GOLDEN_RENDERERS) == sorted(
+        path.name for path in GOLDENS.glob("*.txt")
+    )
+
+
+def test_fig5_byte_identical_to_pre_scenario_capture():
+    _assert_golden("fig5_micro.txt")
+
+
+def test_fig9_byte_identical_to_pre_scenario_capture():
+    _assert_golden("fig9_micro.txt")
+
+
+def test_fattree_byte_identical_to_pre_scenario_capture():
+    _assert_golden("fattree_micro.txt")
+
+
+@pytest.mark.parametrize("sweep, axes", _MIGRATED)
+def test_migrated_experiment_byte_identical_to_run_driver_capture(sweep, axes):
+    _assert_matches(f"{sweep}_micro.txt", _render_migrated(sweep, axes))
+
+
+def test_flow_engine_byte_identical_to_capture():
+    _assert_golden("flow_micro.txt")
 
 
 def test_flow_engine_reads_no_seed():
@@ -194,20 +240,15 @@ def test_flow_engine_reads_no_seed():
         )
 
 
-def test_probeless_spec_hash_unchanged_by_the_probes_field():
-    """``probes=()`` stays out of the hash payload, so every spec that
-    existed before the field hashes as it did (pinned from the parent
-    commit) and committed store entries stay addressable."""
-    from dataclasses import replace
-
+def test_spec_hash_is_pinned():
+    """A store key moves only on purpose: this hash changes exactly
+    when the key of every stored result does (``python -m tests.regen``
+    re-keys the committed store)."""
     from repro.scenario import UniformTraffic, reliability_scenario
 
     spec = reliability_scenario(
         _golden_config(), "stash50", traffic=(UniformTraffic(rate=0.5),)
     ).with_seed(11)
-    assert spec.probes == ()
     assert spec.spec_hash() == (
-        "ed7ede261c65f1cea27d45a6cb64e819744245228f48c9a2c504ee7e5f82a9df"
+        "de49cd89cabb6ccdd7149e6568d6d178e41ac989a445f0dcf29d40d2596883a1"
     )
-    probed = replace(spec, probes=("port_occupancy",))
-    assert probed.spec_hash() != spec.spec_hash()

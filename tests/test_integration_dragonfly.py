@@ -34,13 +34,6 @@ class TestMicroDragonfly:
         net.sim.run(1500)
         drain_and_check(net)
 
-    def test_routing_modes_all_deliver(self):
-        for mode in ("min", "val", "par"):
-            net = Network(micro_config(), routing_mode=mode)
-            net.add_uniform_traffic(rate=0.3, stop=800)
-            net.sim.run(800)
-            drain_and_check(net)
-
     def test_determinism_same_seed(self):
         def run():
             net = Network(micro_config())

@@ -139,14 +139,6 @@ class TestStatsWindows:
         assert math.isnan(res.avg_latency)
         assert res.packets_measured == 0
 
-    def test_inflight_latency_leq_total(self):
-        net = single_switch_net()
-        net.open_measurement()
-        for _ in range(5):
-            net.endpoints[0].post_message(1, 12, net.sim.cycle)
-        drain_and_check(net)
-        assert net.inflight_latency.mean <= net.latency.mean
-
 
 class TestProbes:
     def test_stash_utilization_zero_on_baseline(self):

@@ -1,4 +1,4 @@
-"""Routing algorithms: VC ladder, minimal/Valiant/PAR correctness.
+"""Routing algorithms: VC ladder, PAR and fat-tree correctness.
 
 The route-walker tests simulate a packet's hop-by-hop traversal using
 only the router and topology (no flit datapath), asserting the three
@@ -13,12 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.engine.config import DragonflyParams
-from repro.routing.dragonfly_routing import (
-    DragonflyMinimalRouter,
-    DragonflyParRouter,
-    DragonflyValiantRouter,
-    make_dragonfly_router,
-)
+from repro.routing.dragonfly_routing import DragonflyParRouter
 from repro.routing.fattree_routing import FatTreeRouter
 from repro.routing.routing import VcLadder
 from repro.switch.flit import Packet
@@ -94,16 +89,27 @@ class TestVcLadder:
             VcLadder("LXG")
 
 
+def _par(topo, seed=5):
+    return DragonflyParRouter(topo, random.Random(seed))
+
+
+def _global_hops(topo, hops):
+    return [topo.port_class(s, p) for s, p, _ in hops[:-1]].count("global")
+
+
 class TestMinimalRouting:
+    """With no congestion anywhere PAR never diverts, so these pin the
+    minimal path's shape."""
+
     def test_same_switch_ejects_directly(self):
         topo = _topo()
-        router = DragonflyMinimalRouter(topo)
+        router = _par(topo)
         hops = walk(topo, router, src=0, dst=1)
         assert len(hops) == 1
 
     def test_intra_group_one_local_hop(self):
         topo = _topo()
-        router = DragonflyMinimalRouter(topo)
+        router = _par(topo)
         # nodes 0 and 2*p=4 are on switches 0 and 2, same group
         hops = walk(topo, router, src=0, dst=2 * topo.p)
         assert len(hops) == 2
@@ -111,7 +117,7 @@ class TestMinimalRouting:
 
     def test_inter_group_at_most_lgl(self):
         topo = _topo()
-        router = DragonflyMinimalRouter(topo)
+        router = _par(topo)
         for dst in range(topo.p * topo.a, topo.num_nodes, 7):
             hops = walk(topo, router, src=0, dst=dst)
             classes = [topo.port_class(s, p) for s, p, _ in hops[:-1]]
@@ -120,7 +126,7 @@ class TestMinimalRouting:
 
     def test_all_pairs_reachable_with_increasing_vcs(self):
         topo = _topo()
-        router = DragonflyMinimalRouter(topo)
+        router = _par(topo)
         for src in range(0, topo.num_nodes, 5):
             for dst in range(topo.num_nodes):
                 if src == dst:
@@ -133,47 +139,17 @@ class TestMinimalRouting:
                 assert vcs == sorted(vcs), f"{src}->{dst}: {vcs}"
 
 
-class TestValiantRouting:
-    def test_routes_terminate_everywhere(self):
-        topo = _topo()
-        router = DragonflyValiantRouter(topo, random.Random(3))
-        for src in range(0, topo.num_nodes, 3):
-            for dst in range(0, topo.num_nodes, 2):
-                if src != dst:
-                    walk(topo, router, src, dst)
-
-    def test_nonminimal_flag_set_for_intergroup(self):
-        topo = _topo()
-        router = DragonflyValiantRouter(topo, random.Random(3))
-        pkt = Packet(1, 0, topo.num_nodes - 1, 4)
-        router.prepare_injection(pkt)
-        router.route(FakeCtx(0), 0, pkt)
-        assert pkt.nonminimal
-        assert pkt.mid_group not in (
-            topo.group_of(0),
-            topo.group_of(topo.node_switch(topo.num_nodes - 1)),
-        )
-
-    def test_intra_group_stays_minimal(self):
-        topo = _topo()
-        router = DragonflyValiantRouter(topo, random.Random(3))
-        hops = walk(topo, router, src=0, dst=2 * topo.p)
-        assert len(hops) == 2
-
-
 class TestParRouting:
     def test_uncongested_stays_minimal(self):
         topo = _topo()
         router = DragonflyParRouter(topo, random.Random(5))
         for dst in range(topo.p * topo.a, topo.num_nodes, 5):
             hops = walk(topo, router, src=0, dst=dst)
-            classes = [topo.port_class(s, p) for s, p, _ in hops[:-1]]
-            assert classes.count("global") == 1  # minimal: one global hop
-        assert router.diversions == 0
+            assert _global_hops(topo, hops) == 1  # minimal: one global hop
 
     def test_congestion_diverts(self):
         topo = _topo()
-        router = DragonflyParRouter(topo, random.Random(5), threshold=2)
+        router = _par(topo)
         detours = 0
         # congest every minimal port out of the source switch; over many
         # destinations the random mid-group pick must divert some routes
@@ -183,16 +159,30 @@ class TestParRouting:
             )
             congestion = {min_port: 1000}
             hops = walk(topo, router, src=0, dst=dst, congestion=congestion)
-            classes = [topo.port_class(s, p) for s, p, _ in hops[:-1]]
-            if classes.count("global") == 2:
+            if _global_hops(topo, hops) == 2:
                 detours += 1
-        assert router.diversions >= 1
         assert detours >= 1
+
+    def test_diversion_picks_a_third_group(self):
+        topo = _topo()
+        router = _par(topo)
+        diverted = 0
+        for dst in range(topo.p * topo.a, topo.num_nodes):
+            dst_group = topo.group_of(topo.node_switch(dst))
+            min_port = topo.route_to_group(0, dst_group)
+            pkt = Packet(1, 0, dst, 4)
+            router.prepare_injection(pkt)
+            router.route(FakeCtx(0, {min_port: 1000}), 0, pkt)
+            if pkt.nonminimal:
+                assert pkt.mid_group not in (topo.group_of(0), dst_group)
+                diverted += 1
+        assert diverted
 
     def test_par_all_pairs_with_random_congestion(self):
         topo = _topo()
         rng = random.Random(11)
-        router = DragonflyParRouter(topo, random.Random(5), threshold=0)
+        router = _par(topo)
+        detours = 0
         for src in range(0, topo.num_nodes, 4):
             for dst in range(0, topo.num_nodes, 3):
                 if src == dst:
@@ -208,30 +198,20 @@ class TestParRouting:
                 ]
                 assert vcs == sorted(vcs)
                 assert len(vcs) <= 6
+                detours += _global_hops(topo, hops) == 2
+        assert detours >= 1  # congestion up to 50 flits still diverts
 
     @given(st.integers(0, 10_000), st.integers(0, 10_000))
     @settings(max_examples=60, deadline=None)
     def test_par_random_pairs_property(self, a, b):
         topo = _topo(p=2, a=4, h=2)  # 9 groups, 72 nodes
-        router = DragonflyParRouter(topo, random.Random(7), threshold=1)
+        router = _par(topo, seed=7)
         src = a % topo.num_nodes
         dst = b % topo.num_nodes
         if src == dst:
             return
         congestion = {p: (a * 31 + p * 17) % 60 for p in range(topo.num_ports)}
         walk(topo, router, src, dst, congestion=congestion)
-
-    def test_factory(self):
-        topo = _topo()
-        rng = random.Random(1)
-        assert isinstance(make_dragonfly_router(topo, rng, "min"),
-                          DragonflyMinimalRouter)
-        assert isinstance(make_dragonfly_router(topo, rng, "val"),
-                          DragonflyValiantRouter)
-        assert isinstance(make_dragonfly_router(topo, rng, "par"),
-                          DragonflyParRouter)
-        with pytest.raises(ValueError):
-            make_dragonfly_router(topo, rng, "ugal")
 
 
 class TestFatTreeRouting:

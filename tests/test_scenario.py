@@ -44,6 +44,7 @@ def test_spec_hash_distinguishes_scenarios():
         reliability_scenario(cfg, "stash100", traffic=(UniformTraffic(rate=0.4),)),
         reliability_scenario(cfg, "stash25", traffic=(UniformTraffic(rate=0.4),)),
         congestion_scenario(cfg, "stash100"),
+        congestion_scenario(cfg, "stash100", probes=("port_occupancy",)),
         ScenarioSpec(
             config=cfg,
             topology=SingleSwitchTopologySpec(num_nodes=4),
@@ -69,12 +70,6 @@ def test_with_seed_changes_hash_and_resolved_seed():
     assert spec.resolved_config().sim.seed == cfg.sim.seed
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="pinned, not fixed (ROADMAP 3(e), v3 epoch): spec_hash covers "
-    "sim.kernel, sim.verify_wake and ObsParams, which are byte-identical "
-    "by contract, so they split one scenario across store keys",
-)
 def test_run_control_fields_leave_spec_hash_unchanged():
     """The kernel, the wake oracle and observability change how a point
     runs, never what it computes; its content key should not see them."""
